@@ -81,6 +81,35 @@ class JsonReport
 };
 
 /**
+ * Paper-claim gate: check() prints one "check: <claim>: PASS|FAIL" line
+ * and counts the failures, and a figure/table bench ends with
+ * `return checksExitCode();`, so any failed claim fails the process
+ * (ctest runs these benches under the `paper` label).
+ */
+inline int&
+failedChecks()
+{
+    static int failed = 0;
+    return failed;
+}
+
+inline bool
+check(const std::string& claim, bool ok)
+{
+    std::cout << "check: " << claim << ": " << (ok ? "PASS" : "FAIL")
+              << "\n";
+    if (!ok)
+        ++failedChecks();
+    return ok;
+}
+
+inline int
+checksExitCode()
+{
+    return failedChecks() == 0 ? 0 : 1;
+}
+
+/**
  * Parse a `--json[=path]` flag: returns the output path ("" = flag
  * absent). A bare `--json` defaults to @p default_path.
  */

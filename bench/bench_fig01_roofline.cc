@@ -8,6 +8,7 @@
  */
 #include <iostream>
 
+#include "bench_common.hh"
 #include "analysis/roofline.hh"
 #include "support/table.hh"
 
@@ -35,9 +36,8 @@ main()
             sda_over_half &= b.fracOfPeak > 0.5;
     }
     t.print();
-    std::cout << "\ncheck: GPU under half of peak on all workloads: "
-              << (gpu_under_half ? "PASS" : "FAIL") << "\n";
-    std::cout << "check: SDA above half of peak on all workloads: "
-              << (sda_over_half ? "PASS" : "FAIL") << "\n";
-    return gpu_under_half && sda_over_half ? 0 : 1;
+    std::cout << "\n";
+    bench::check("GPU under half of peak on all workloads", gpu_under_half);
+    bench::check("SDA above half of peak on all workloads", sda_over_half);
+    return bench::checksExitCode();
 }

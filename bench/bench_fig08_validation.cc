@@ -8,6 +8,7 @@
  */
 #include <iostream>
 
+#include "bench_common.hh"
 #include "hdlref/swiglu.hh"
 #include "support/stats.hh"
 #include "support/table.hh"
@@ -52,10 +53,9 @@ main()
 
     double r = pearson(hdl_cycles, step_cycles);
     std::cout << "\nPearson correlation (cycles): " << r << "\n";
-    std::cout << "check: correlation > 0.9 (paper: 0.99): "
-              << (r > 0.9 ? "PASS" : "FAIL") << "\n";
-    std::cout << "check: symbolic/measured off-chip traffic identical in "
-                 "both simulators: "
-              << (traffic_ok ? "PASS" : "FAIL") << "\n";
-    return (r > 0.9 && traffic_ok) ? 0 : 1;
+    bench::check("correlation > 0.9 (paper: 0.99)", r > 0.9);
+    bench::check("symbolic/measured off-chip traffic identical in both "
+          "simulators",
+          traffic_ok);
+    return bench::checksExitCode();
 }

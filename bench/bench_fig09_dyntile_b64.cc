@@ -18,7 +18,6 @@ main()
     bool ok = true;
     ok &= tilingSweep(mixtral8x7b(), 64, {8, 16, 32, 64}, 1009);
     ok &= tilingSweep(qwen3_30b_a3b(), 64, {8, 16, 32, 64}, 1013);
-    std::cout << "check: dynamic tiling beyond both static frontiers "
-                 "(PID > 1): " << (ok ? "PASS" : "FAIL") << "\n";
-    return ok ? 0 : 1;
+    check("dynamic tiling beyond both static frontiers (PID > 1)", ok);
+    return checksExitCode();
 }

@@ -17,7 +17,6 @@ main()
     bool ok = true;
     ok &= tilingSweep(mixtral8x7b(), 1024, {16, 64, 256, 1024}, 2003);
     ok &= tilingSweep(qwen3_30b_a3b(), 1024, {16, 64, 256, 1024}, 2011);
-    std::cout << "check: dynamic tiling beyond both static frontiers "
-                 "(PID > 1): " << (ok ? "PASS" : "FAIL") << "\n";
-    return ok ? 0 : 1;
+    check("dynamic tiling beyond both static frontiers (PID > 1)", ok);
+    return checksExitCode();
 }

@@ -84,7 +84,7 @@ main()
               << flop_ratio << "x (paper: 3.81x)\n";
     bool ok = util_gain > 1.5 && util_rises_static && util_rises_dynamic
               && flop_ratio > 1.5;
-    std::cout << "check: utilization rises as regions shrink and static "
-                 "pads FLOPs: " << (ok ? "PASS" : "FAIL") << "\n";
-    return ok ? 0 : 1;
+    check("utilization rises as regions shrink and static pads FLOPs",
+          ok);
+    return checksExitCode();
 }

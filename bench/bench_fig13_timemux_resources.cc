@@ -67,7 +67,6 @@ main()
               << 100.0 * comp_saving << "% (paper: 62%), memory saved "
               << 100.0 * mem_saving << "% (paper: 46%)\n";
     bool ok = comp_saving > 0.3 && mem_saving > 0.2 && comparable_perf;
-    std::cout << "check: large compute+memory savings at comparable "
-                 "performance: " << (ok ? "PASS" : "FAIL") << "\n";
-    return ok ? 0 : 1;
+    check("large compute+memory savings at comparable performance", ok);
+    return checksExitCode();
 }

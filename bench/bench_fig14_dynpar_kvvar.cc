@@ -54,8 +54,8 @@ main(int argc, char** argv)
         prev_speedup = speedup;
     }
     t.print();
-    std::cout << "\ncheck: dynamic >= interleaved, gap grows with "
-                 "variability: "
-              << ((always_faster && monotone) ? "PASS" : "FAIL") << "\n";
-    return always_faster && monotone ? 0 : 1;
+    std::cout << "\n";
+    check("dynamic >= interleaved, gap grows with variability",
+          always_faster && monotone);
+    return checksExitCode();
 }

@@ -54,7 +54,7 @@ main(int argc, char** argv)
               << "x (paper: 1.43x)\n";
     bool ok = speedup16 > 1.5 && speedup64 > 1.0 &&
               speedup16 > speedup64;
-    std::cout << "check: dynamic >> coarse at small batch, still ahead "
-                 "at full batch: " << (ok ? "PASS" : "FAIL") << "\n";
-    return ok ? 0 : 1;
+    check("dynamic >> coarse at small batch, still ahead at full batch",
+          ok);
+    return checksExitCode();
 }

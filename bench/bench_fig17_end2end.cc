@@ -135,8 +135,8 @@ main()
         ok &= speedup_mem > 1.0 && speedup_perf >= 0.95 &&
               mem_save > 0.0;
     }
-    std::cout << "check: dynamic faster than mem-matched static with "
-                 "less memory than perf-matched static: "
-              << (ok ? "PASS" : "FAIL") << "\n";
-    return ok ? 0 : 1;
+    check("dynamic faster than mem-matched static with less memory than "
+          "perf-matched static",
+          ok);
+    return checksExitCode();
 }

@@ -107,8 +107,9 @@ main()
         }
     }
     t.print();
-    std::cout << "\ncheck: dynamic parallelization best (normalized <= "
-                 "statics) in every class: "
-              << (dynamic_best ? "PASS" : "FAIL") << "\n";
-    return dynamic_best ? 0 : 1;
+    std::cout << "\n";
+    check("dynamic parallelization best (normalized <= statics) in "
+          "every class",
+          dynamic_best);
+    return checksExitCode();
 }

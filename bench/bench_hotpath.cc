@@ -8,7 +8,8 @@
  *  - steady-state heap allocations per event, measured with a counting
  *    global allocator around the scheduler's drain() phase only (graph
  *    build/teardown and coroutine-frame creation in start() excluded),
- *  - serving-iteration throughput with graph recycling on and off.
+ *  - serving-iteration throughput with graph recycling on and off, and
+ *    on the rearm path with the batch size changing every iteration.
  *
  * With `--json[=path]` the results are also written to
  * BENCH_hotpath.json for CI trajectory capture.
@@ -263,6 +264,7 @@ runSubstrate(BuildFn build, int reps)
 struct ServingResult
 {
     double rearmItersPerSec = 0;    ///< rearm fast path (engine default)
+    double retargetItersPerSec = 0; ///< rearm with B cycling 4 -> 5 -> 6
     double recycledItersPerSec = 0; ///< recycle + rebuild per iteration
     double rebuildItersPerSec = 0;  ///< cold graph per iteration
     double rearmEventsPerSec = 0;
@@ -313,6 +315,31 @@ runServing(int reps)
         for (int r = 0; r < reps; ++r)
             rearmDecoderLayer(g, handles, p, spec);
         res.rearmBuildUs = seconds(t0, Clk::now()) / reps * 1e6;
+    }
+    {
+        // Rearm with the batch size changing every iteration (B cycles
+        // 4 -> 5 -> 6 -> 4): each rearm retargets the armed graph, as
+        // the engine does under continuous batching.
+        std::vector<IterationSpec> specs;
+        for (int64_t b : {4, 5, 6}) {
+            IterationSpec bs;
+            bs.kvLens = {32, 64, 96, 160, 48, 128};
+            bs.kvLens.resize(static_cast<size_t>(b));
+            Rng brng(3);
+            bs.trace = generateExpertTrace(brng, b, p.cfg.numExperts,
+                                           p.cfg.topK);
+            specs.push_back(std::move(bs));
+        }
+        GraphArena arena;
+        Graph g(SimConfig{}, &arena);
+        DecoderRearmHandles handles;
+        for (const IterationSpec& bs : specs) // build, warm every B
+            runDecoderIteration(p, bs, &sched, &g, &handles);
+        auto t0 = Clk::now();
+        for (int r = 0; r < reps; ++r)
+            runDecoderIteration(p, specs[static_cast<size_t>(r) % 3],
+                                &sched, &g, &handles);
+        res.retargetItersPerSec = reps / seconds(t0, Clk::now());
     }
     {
         // Recycle + rebuild every iteration (the PR-2 path).
@@ -378,6 +405,8 @@ main(int argc, char** argv)
                 static_cast<unsigned long long>(sv.eventsPerIter));
     std::printf("  rearm (fast path):   %9.1f iters/sec (%.0f events/sec)\n",
                 sv.rearmItersPerSec, sv.rearmEventsPerSec);
+    std::printf("  rearm, varying B:    %9.1f iters/sec (B cycles 4-5-6)\n",
+                sv.retargetItersPerSec);
     std::printf("  recycle + rebuild:   %9.1f iters/sec\n",
                 sv.recycledItersPerSec);
     std::printf("  cold rebuild:        %9.1f iters/sec\n",
@@ -415,6 +444,8 @@ main(int argc, char** argv)
         j.set("routing_allocs_per_event", rt.allocsPerEvent,
               "allocs/event");
         j.set("serving_rearm_iters_per_sec", sv.rearmItersPerSec,
+              "iters/sec");
+        j.set("serving_retarget_iters_per_sec", sv.retargetItersPerSec,
               "iters/sec");
         j.set("serving_recycled_iters_per_sec", sv.recycledItersPerSec,
               "iters/sec");

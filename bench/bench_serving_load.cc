@@ -20,7 +20,9 @@
  * (BENCH_serving_load.json): simulation throughput in requests/sec (a
  * rate metric, so bench/check_bench_regression.py gates it in CI
  * against bench/baseline_serving_load.json alongside the hot-path
- * bench) plus the goodput of both policies at the highest load point.
+ * bench) plus the goodput of both policies at the highest load point,
+ * the iteration-graph rearm hit rate (same-batch rearms plus batch
+ * retargets over decode iterations) and the rebuild count.
  *
  * With --mtbf N (a seeded per-point plan) or --fault-plan SPEC (an
  * explicit plan, parseFaultPlan syntax) the whole sweep runs under
@@ -137,6 +139,13 @@ main(int argc, char** argv)
     double goodput_static = 0.0, goodput_dynamic = 0.0; // highest rate
     double availability_hiload = 1.0; // dynamic policy, highest rate
     int64_t migrations_hiload = 0, retries_hiload = 0;
+    // Iteration-graph paths over every engine run of the sweep.
+    uint64_t rearms = 0, retargets = 0, rebuilds = 0;
+    auto count_paths = [&](const EngineResult& r) {
+        rearms += r.graphRearms;
+        retargets += r.graphRetargets;
+        rebuilds += r.graphRebuilds;
+    };
     for (double rate_per_mcycle : {0.6, 1.0, 1.4, 1.8}) {
         for (bool dynamic : {false, true}) {
             TraceConfig tc;
@@ -163,7 +172,9 @@ main(int argc, char** argv)
             ServingSummary s;
             if (replicas == 1) {
                 ServingEngine engine(ec, policy);
-                s = engine.run(reqs).summary;
+                EngineResult r = engine.run(reqs);
+                count_paths(r);
+                s = r.summary;
             } else {
                 ClusterConfig cc;
                 cc.engine = ec;
@@ -195,6 +206,8 @@ main(int argc, char** argv)
                 }
                 ServingCluster cluster(cc, policy);
                 ClusterResult cr = cluster.run(reqs);
+                for (const ReplicaResult& rr : cr.replicas)
+                    count_paths(rr.result);
                 s = cr.aggregate;
                 if (dynamic) {
                     availability_hiload = s.availability;
@@ -230,6 +243,15 @@ main(int argc, char** argv)
                   << availability_hiload << ", " << migrations_hiload
                   << " migration(s), " << retries_hiload
                   << " retry/retries\n";
+    const uint64_t decode_iters = rearms + retargets + rebuilds;
+    const double rearm_hit_rate =
+        decode_iters ? static_cast<double>(rearms + retargets) /
+                           static_cast<double>(decode_iters)
+                     : 0.0;
+    std::cout << "graph paths: " << rearms << " rearm(s), " << retargets
+              << " batch retarget(s), " << rebuilds
+              << " rebuild(s) -> rearm hit rate " << rearm_hit_rate
+              << "\n";
     const double req_per_sec = static_cast<double>(simulated) / wall_s;
     std::cout << "sweep: " << simulated << " requests in " << wall_s
               << " s wall -> " << req_per_sec
@@ -246,6 +268,9 @@ main(int argc, char** argv)
         // The one gated rate metric ("/sec" unit): end-to-end cluster
         // simulation throughput, the serving runtime's hot path.
         report.set("sim_requests_per_sec", req_per_sec, "requests/sec");
+        report.set("rearm_hit_rate", rearm_hit_rate, "fraction");
+        report.set("graph_rebuilds", static_cast<double>(rebuilds),
+                   "count");
         report.set("goodput_static_hiload", goodput_static,
                    "tokens/kcycle");
         report.set("goodput_dynamic_hiload", goodput_dynamic,

@@ -7,6 +7,7 @@
  */
 #include <iostream>
 
+#include "bench_common.hh"
 #include "analysis/landscape.hh"
 #include "support/table.hh"
 
@@ -57,9 +58,8 @@ main()
     }
     t2.print();
 
-    std::cout << "\ncheck: STeP expresses all three optimizations: "
-              << (step_all ? "PASS" : "FAIL") << "\n";
-    std::cout << "check: no prior abstraction expresses dynamic tiling: "
-              << (!others_all ? "PASS" : "FAIL") << "\n";
-    return step_all && !others_all ? 0 : 1;
+    std::cout << "\n";
+    bench::check("STeP expresses all three optimizations", step_all);
+    bench::check("no prior abstraction expresses dynamic tiling", !others_all);
+    return bench::checksExitCode();
 }

@@ -67,6 +67,9 @@ class UtilizationTimeline
 
     size_t iterations() const { return samples_.size(); }
 
+    /** Recorded iterations, in record order. */
+    const std::vector<IterationSample>& samples() const { return samples_; }
+
   private:
     std::vector<IterationSample> samples_;
 };

@@ -55,11 +55,14 @@ class Channel
 
     /**
      * Reset run-time dynamics only — FIFO contents, credits, waiter
-     * registrations, push count — while keeping the name, geometry, and
-     * producer/consumer bindings. Used by Graph::rearm() to re-run a
-     * structurally unchanged graph without rebuilding it.
+     * registrations, push count — while keeping the name, latency, and
+     * producer/consumer bindings, and set the FIFO depth to
+     * @p capacity. Used by Graph::rearm() to re-run a structurally
+     * unchanged graph without rebuilding it; a depth change (the decode
+     * batch size is a rearm payload) costs nothing here, since the
+     * rings only grow when a run first reaches a new occupancy.
      */
-    void rearm();
+    void rearm(size_t capacity);
 
     const std::string& name() const { return name_; }
     size_t capacity() const { return capacity_; }
@@ -164,6 +167,13 @@ class Channel
 
     /** Total tokens ever pushed (stats). */
     uint64_t totalPushed() const { return totalPushed_; }
+
+    /** Entry plus credit ring slots allocated so far (growth probe). */
+    size_t
+    ringSlots() const
+    {
+        return entries_.capacity() + credits_.capacity();
+    }
 
   private:
     friend struct ReadAwaiter;

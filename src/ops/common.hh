@@ -99,7 +99,7 @@ struct OffChipTensor;
  * Graph::rearm() passes to every operator; workload-level rearm
  * functions then re-invoke rearm on the operators that carry
  * per-iteration data (source token streams, off-chip tensor metadata,
- * policy-assigned compute bandwidths).
+ * policy-assigned compute bandwidths, batch-sized element counts).
  */
 struct RearmSpec
 {
@@ -109,6 +109,9 @@ struct RearmSpec
     const OffChipTensor* tensor = nullptr;
     /** New allocated compute bandwidth; < 0 keeps the current value. */
     int64_t computeBw = -1;
+    /** New element count of a batch-sized stream (DispatcherOp's
+     *  total); < 0 keeps the current value. */
+    int64_t count = -1;
 };
 
 /**

@@ -84,6 +84,7 @@ Graph::makeChannel(std::string_view name, size_t capacity_override)
                                             cfg_.channelLatency);
     }
     channels_.push_back(ch.get());
+    defaultCapacity_.push_back(capacity_override == 0);
     channelStore_.push_back(std::move(ch));
     return *channels_.back();
 }
@@ -95,6 +96,7 @@ Graph::recycle(const SimConfig& cfg)
     destroyOps();
     arena_->mem.reset();
     channels_.clear();
+    defaultCapacity_.clear();
     // LIFO pooling: a structurally stable rebuild pops channels in a
     // fixed order, so each logical channel settles onto one pooled
     // object whose name/ring storage already fits.
@@ -122,13 +124,15 @@ void
 Graph::rearm(const SimConfig& cfg)
 {
     STEP_ASSERT(!ops_.empty(), "Graph::rearm on an empty graph");
-    STEP_ASSERT(cfg.channelCapacity == cfg_.channelCapacity &&
-                cfg.channelLatency == cfg_.channelLatency,
-                "channel geometry is structural: recycle and rebuild "
+    STEP_ASSERT(cfg.channelLatency == cfg_.channelLatency,
+                "channel latency is structural: recycle and rebuild "
                 "instead of rearming");
     cfg_ = cfg;
-    for (dam::Channel* ch : channels_)
-        ch->rearm();
+    for (size_t i = 0; i < channels_.size(); ++i) {
+        dam::Channel* ch = channels_[i];
+        ch->rearm(defaultCapacity_[i] ? cfg_.channelCapacity
+                                      : ch->capacity());
+    }
     if (customMem_) {
         mem_->reset();
     } else {

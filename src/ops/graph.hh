@@ -117,9 +117,16 @@ class Graph
      * memory models), so the same graph can run again after its
      * per-iteration parameters are patched through OpBase::rearm().
      * This skips the ~190 operator constructors a recycle+rebuild pays
-     * and is valid only while the graph structure (operator set,
-     * channel geometry) is unchanged — callers key on a structural
-     * fingerprint and fall back to recycle() + rebuild on mismatch.
+     * and is valid only while the operator set and channel wiring are
+     * unchanged — callers key on a structural fingerprint and fall
+     * back to recycle() + rebuild on mismatch.
+     *
+     * Channel depth is not structural: every channel created with the
+     * config's default capacity takes @p cfg.channelCapacity, so a
+     * graph can be rearmed for a different decode batch size. Channels
+     * created with an explicit capacity keep it; their builder resizes
+     * them (Channel::rearm) when that capacity is a payload too.
+     * Channel latency stays structural.
      */
     void rearm(const SimConfig& cfg);
 
@@ -178,6 +185,9 @@ class Graph
     std::vector<OpBase*> ops_;
     /** Live channels of the current build (owned via store/pool). */
     std::vector<dam::Channel*> channels_;
+    /** Per live channel: created with cfg_.channelCapacity (no
+     *  override), so rearm() re-sizes it with the config. */
+    std::vector<bool> defaultCapacity_;
     std::vector<std::unique_ptr<dam::Channel>> channelStore_;
     std::vector<std::unique_ptr<dam::Channel>> channelPool_;
     std::unique_ptr<MemModel> mem_;

@@ -366,17 +366,26 @@ EagerMergeOp::run()
 
 DispatcherOp::DispatcherOp(Graph& g, const std::string& name,
                            StreamPort completions, size_t regions,
-                           uint64_t total)
+                           uint64_t total, std::optional<Dim> total_dim)
     : OpBase(g, name), completions_(completions), regions_(regions),
       total_(total)
 {
     completions_.ch->setConsumer(this);
+    Dim dim = total_dim ? std::move(*total_dim)
+                        : Dim::fixed(static_cast<int64_t>(total));
     out_ = StreamPort{&g.makeChannel(name + ".out",
                                      std::max<size_t>(16, 2 * regions)),
-                      StreamShape({Dim::fixed(
-                          static_cast<int64_t>(total))}),
+                      StreamShape({std::move(dim)}),
                       DataType::selector(static_cast<int64_t>(regions))};
     out_.ch->setProducer(this);
+}
+
+void
+DispatcherOp::rearm(const RearmSpec& spec)
+{
+    OpBase::rearm(spec);
+    if (spec.count >= 0)
+        total_ = static_cast<uint64_t>(spec.count);
 }
 
 dam::SimTask

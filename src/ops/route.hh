@@ -8,6 +8,7 @@
 #pragma once
 
 #include <algorithm>
+#include <optional>
 
 #include "ops/common.hh"
 #include "ops/graph.hh"
@@ -132,17 +133,22 @@ class EagerMergeOp : public OpBase
  * one-hot selectors over @p regions consumers; the first `regions`
  * assignments are round-robin (the FlatMap in the figure), every
  * subsequent assignment targets the region whose completion signal
- * arrives next (the EagerMerge selector input).
+ * arrives next (the EagerMerge selector input). @p total_dim is the
+ * output stream's dimension (default Dim::fixed(total)); a symbolic
+ * dim lets rearm change the total (RearmSpec::count) without making
+ * the declared shape stale.
  */
 class DispatcherOp : public OpBase
 {
   public:
     DispatcherOp(Graph& g, const std::string& name, StreamPort completions,
-                 size_t regions, uint64_t total);
+                 size_t regions, uint64_t total,
+                 std::optional<Dim> total_dim = std::nullopt);
 
     StreamPort out() const { return out_; }
 
     dam::SimTask run() override;
+    void rearm(const RearmSpec& spec) override;
 
     void
     collectPorts(std::vector<PortDecl>& out) const override

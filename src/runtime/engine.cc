@@ -156,6 +156,10 @@ ServingEngine::run(std::vector<Request>& reqs)
         batcher.attachPrefixCache(cache.get());
     }
     EngineResult res;
+    // The handles outlive a run; report this run's share of each path.
+    const uint64_t rearms0 = rearmHandles_.rearms;
+    const uint64_t retargets0 = rearmHandles_.retargets;
+    const uint64_t rebuilds0 = rearmHandles_.rebuilds;
     Rng iter_rng(cfg_.seed);
     const double fpt = static_cast<double>(prefillFlopsPerToken());
 
@@ -585,6 +589,8 @@ ServingEngine::run(std::vector<Request>& reqs)
                 cfg_.recycleGraphs ? iterGraph_.get() : nullptr,
                 cfg_.recycleGraphs ? &rearmHandles_ : nullptr,
                 cfg_.verifyGraphs ? &kVerifyAll : nullptr);
+            if (!cfg_.recycleGraphs)
+                ++res.graphRebuilds;
             iter_cycles = sim.cycles * static_cast<dam::Cycle>(
                 cfg_.numLayers);
             decode_flops = sim.totalFlops * cfg_.numLayers;
@@ -755,6 +761,10 @@ ServingEngine::run(std::vector<Request>& reqs)
         STEP_ASSERT(cache->pinnedRequests() == 0,
                     "run ended with " << cache->pinnedRequests()
                                       << " prefix-cache pins held");
+
+    res.graphRearms = rearmHandles_.rearms - rearms0;
+    res.graphRetargets = rearmHandles_.retargets - retargets0;
+    res.graphRebuilds += rearmHandles_.rebuilds - rebuilds0;
 
     res.summary = summarize(reqs, res.timeline.span(), cfg_.slo);
     res.summary.computeUtilization =

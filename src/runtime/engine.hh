@@ -108,19 +108,21 @@ struct EngineConfig
     std::vector<ClusterInstant> clusterInstants;
 
     /**
-     * Recycle one arena-backed decoder graph across batching iterations
-     * instead of rebuilding from the heap each time (see
-     * Graph::recycle). Metrics are identical either way; the rebuild
-     * path remains for A/B verification.
+     * Keep one arena-backed decoder graph across batching iterations
+     * and rearm it in place, retargeting it when the decode batch size
+     * changes (see runDecoderIteration), instead of building a cold
+     * graph each time. Metrics are identical either way; the cold path
+     * remains as the A/B oracle.
      */
     bool recycleGraphs = true;
 
     /**
-     * Statically verify every freshly built iteration graph — the first
-     * build and each rearm structural-key fallback — before running it
-     * (src/verify; error findings are fatal). Read-only, so enabling it
-     * is byte-identical to disabling it on a well-formed graph; on by
-     * default in debug builds, opt-in (--verify on the sims) elsewhere.
+     * Statically verify every iteration graph whose geometry is new —
+     * the first build, each structural-key fallback, and each batch-size
+     * retarget — before running it (src/verify; error findings are
+     * fatal). Read-only, so enabling it is byte-identical to disabling
+     * it on a well-formed graph; on by default in debug builds, opt-in
+     * (--verify on the sims) elsewhere.
      */
 #ifndef NDEBUG
     bool verifyGraphs = true;
@@ -136,6 +138,14 @@ struct EngineResult
     ServingSummary summary;
     UtilizationTimeline timeline;
     int64_t iterations = 0;
+    /**
+     * Decode iterations by iteration-graph path: rearms at the armed
+     * batch size, rearms that retargeted the batch size, and full
+     * builds (every decode iteration when recycleGraphs is off).
+     */
+    uint64_t graphRearms = 0;
+    uint64_t graphRetargets = 0;
+    uint64_t graphRebuilds = 0;
 };
 
 /**
@@ -204,9 +214,9 @@ class ServingEngine
     dam::Scheduler sched_; ///< reused across per-iteration graphs
     GraphArena arena_;     ///< backs the recycled iteration graph
     std::unique_ptr<Graph> iterGraph_; ///< lazily created when recycling
-    /** Structure-preserving rearm handles for iterGraph_: while the
-     *  decode batch's structural key is stable, iterations patch the
-     *  recycled graph in place instead of rebuilding it. */
+    /** Structure-preserving rearm handles for iterGraph_: iterations
+     *  patch the armed graph in place, whatever the decode batch size,
+     *  instead of rebuilding it. */
     DecoderRearmHandles rearmHandles_;
 };
 

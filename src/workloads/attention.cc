@@ -85,6 +85,14 @@ kvShapeTensors(int64_t tot_tiles, int64_t Tk, int64_t d, OffChipTensor* kt,
                                    tot_tiles * Tk, d, Tk, d);
 }
 
+/** Depth of a dynamic region's completion channel: room for every
+ *  request's completion plus slack (build and rearm must agree). */
+size_t
+completionCapacity(int64_t batch)
+{
+    return static_cast<size_t>(batch) + 16;
+}
+
 /** Standalone (q, meta) request stream ([B,1] of tuples; q rows are
  *  shape-only when @p qs is null). */
 std::vector<Token>
@@ -139,6 +147,7 @@ buildAttentionLayer(Graph& g, const AttnParams& p,
     const int64_t d = p.cfg.numKvHeads * p.cfg.headDim;
     const int64_t Tk = p.kvTileRows;
     const auto P = static_cast<size_t>(p.regions);
+    const Dim batch_dim = p.batchDim ? *p.batchDim : Dim::fixed(B);
     STEP_ASSERT(!p.functional || (qs && ks && vs),
                 "functional mode needs q/k/v payloads");
 
@@ -184,7 +193,7 @@ buildAttentionLayer(Graph& g, const AttnParams& p,
         // to form the (q, meta) request tuples.
         auto& meta_src = g.add<SourceOp>(
             "attn.meta", attnMetaTokens(kv_lens, base_tile, Tk),
-            StreamShape({Dim::fixed(B)}), DataType::tile(1, 2));
+            StreamShape({batch_dim}), DataType::tile(1, 2));
         if (rearm)
             rearm->meta = &meta_src;
         auto& qflat = g.add<FlattenOp>("attn.qflat", *ext_q, 0, 1);
@@ -198,7 +207,7 @@ buildAttentionLayer(Graph& g, const AttnParams& p,
             "attn.req",
             attnReqTokens(kv_lens, base_tile, Tk, d,
                           p.functional ? qs : nullptr),
-            StreamShape({Dim::fixed(B), Dim::fixed(1)}), req_dt);
+            StreamShape({batch_dim, Dim::fixed(1)}), req_dt);
         if (rearm)
             rearm->req = &req_src;
         req_port = req_src.out();
@@ -214,7 +223,7 @@ buildAttentionLayer(Graph& g, const AttnParams& p,
         auto assign = staticAssignment(p);
         auto mk_sel = [&](const std::string& name) -> SourceOp& {
             return g.add<SourceOp>(name, assignSelTokens(assign),
-                                   StreamShape({Dim::fixed(B)}),
+                                   StreamShape({batch_dim}),
                                    DataType::selector(p.regions));
         };
         SourceOp& sa = mk_sel("attn.selA");
@@ -236,9 +245,8 @@ buildAttentionLayer(Graph& g, const AttnParams& p,
     if (dynamic) {
         std::vector<StreamPort> comp_ports;
         for (size_t r = 0; r < P; ++r) {
-            auto& ch = g.makeChannel(
-                "attn.comp" + std::to_string(r),
-                static_cast<size_t>(B) + 16);
+            auto& ch = g.makeChannel("attn.comp" + std::to_string(r),
+                                     completionCapacity(B));
             completion_chans.push_back(&ch);
             comp_ports.push_back(StreamPort{
                 &ch, StreamShape({Dim::ragged()}), DataType::tile(1, d)});
@@ -246,7 +254,12 @@ buildAttentionLayer(Graph& g, const AttnParams& p,
         auto& em = g.add<EagerMergeOp>("attn.compMerge", comp_ports, 0);
         g.add<SinkOp>("attn.compSink", em.out());
         auto& disp = g.add<DispatcherOp>("attn.disp", em.selOut(), P,
-                                         static_cast<uint64_t>(B));
+                                         static_cast<uint64_t>(B),
+                                         batch_dim);
+        if (rearm) {
+            rearm->disp = &disp;
+            rearm->compChans = completion_chans;
+        }
         auto& selbc = g.add<BroadcastOp>("attn.selbc", disp.out(), 2);
         part_sel = selbc.out(0);
         gather_sel = selbc.out(1);
@@ -339,6 +352,7 @@ rearmAttentionLayer(const AttnRearmHandles& h, const AttnParams& p,
     STEP_ASSERT(!p.functional,
                 "rearm supports timing mode only (functional payloads "
                 "require a rebuild)");
+    const auto B = static_cast<int64_t>(kv_lens.size());
     const int64_t d = p.cfg.numKvHeads * p.cfg.headDim;
     const int64_t Tk = p.kvTileRows;
 
@@ -384,6 +398,13 @@ rearmAttentionLayer(const AttnRearmHandles& h, const AttnParams& p,
             h.selB->rearm(s);
         }
     }
+    if (h.disp) {
+        RearmSpec s;
+        s.count = B;
+        h.disp->rearm(s);
+    }
+    for (dam::Channel* ch : h.compChans)
+        ch->rearm(completionCapacity(B));
     for (const auto& [op, div] : h.bwOps) {
         RearmSpec s;
         s.computeBw = p.computeBw / div;

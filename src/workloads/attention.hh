@@ -40,6 +40,13 @@ struct AttnParams
     /** Optional explicit per-request region assignment (overrides the
      *  static strategies; used for micro-batch studies). */
     std::optional<std::vector<uint32_t>> staticAssign;
+    /**
+     * Dimension of the batch-long streams (requests, meta, selectors,
+     * dispatcher output). Unset: Dim::fixed(batch). The decoder layer
+     * passes one shared symbolic dim, so the declared port shapes stay
+     * true when a rearm changes the batch size.
+     */
+    std::optional<Dim> batchDim;
     bool functional = false;
     uint64_t seed = 42;
 };
@@ -52,6 +59,7 @@ struct AttnBuild
 
 class SourceOp;
 class RandomOffChipLoadOp;
+class DispatcherOp;
 
 /**
  * Typed handles to the operators of a built attention layer that carry
@@ -67,6 +75,9 @@ struct AttnRearmHandles
     SourceOp* meta = nullptr; ///< meta stream zipped with ext_q rows
     SourceOp* selA = nullptr; ///< static partition selector
     SourceOp* selB = nullptr; ///< static gather selector
+    DispatcherOp* disp = nullptr; ///< dynamic selector generator
+    /** Dynamic completion channels (capacity B + 16, a rearm payload). */
+    std::vector<dam::Channel*> compChans;
     std::vector<RandomOffChipLoadOp*> kLoads; ///< per-region K loads
     std::vector<RandomOffChipLoadOp*> vLoads; ///< per-region V loads
     /** (op, divisor): rearmed bandwidth = p.computeBw / divisor. */
@@ -87,10 +98,15 @@ AttnBuild buildAttentionLayer(
     AttnRearmHandles* rearm = nullptr);
 
 /**
- * Re-arm a built attention layer for new per-request KV lengths and the
- * current policy bandwidth (timing mode only). Requires the owning
- * graph to have been rearm()-ed first; produces metrics bit-identical
- * to a full rebuild with the same parameters.
+ * Re-arm a built attention layer for new per-request KV lengths, the
+ * current policy bandwidth, and a possibly different batch size
+ * (kv_lens.size(); timing mode only): request/meta/selector streams,
+ * the StaticCoarse assignment, the dispatcher's total, and the
+ * completion channels' depth are all re-fed. Requires the owning graph
+ * to have been rearm()-ed first and, when the batch size changes, the
+ * layer to have been built over a symbolic AttnParams::batchDim;
+ * produces metrics bit-identical to a full rebuild with the same
+ * parameters.
  */
 void rearmAttentionLayer(const AttnRearmHandles& h, const AttnParams& p,
                          const std::vector<int64_t>& kv_lens);

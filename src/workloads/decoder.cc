@@ -18,6 +18,17 @@ nm(const std::string& base, const std::string& suffix)
     return base + "." + suffix;
 }
 
+/**
+ * The one symbolic dimension every batch-long stream of the layer is
+ * declared over. Port shapes then hold for any batch size, which is
+ * what lets a rearm retarget the batch instead of rebuilding.
+ */
+Dim
+batchDim()
+{
+    return Dim::dynamicExpr(sym::Expr::sym("B"));
+}
+
 /** Attention sub-layer parameters derived from the decoder's (build and
  *  rearm must agree exactly). */
 AttnParams
@@ -26,6 +37,7 @@ attnParamsFor(const DecoderParams& p, int64_t batch)
     AttnParams ap;
     ap.cfg = p.cfg;
     ap.batch = batch;
+    ap.batchDim = batchDim();
     ap.strategy = p.attnStrategy;
     ap.regions = p.attnRegions;
     ap.kvTileRows = p.kvTileRows;
@@ -42,6 +54,7 @@ moeParamsFor(const DecoderParams& p, int64_t batch)
     MoeParams mp;
     mp.cfg = p.cfg;
     mp.batch = batch;
+    mp.batchDim = batchDim();
     mp.tiling = p.moeTiling;
     mp.tileRows = p.moeTile;
     mp.weightTileCols = p.weightTileCols;
@@ -83,6 +96,38 @@ decoderStructKey(const DecoderParams& p, int64_t batch)
     k.weightTileCols = p.weightTileCols;
     k.seed = p.seed;
     return k;
+}
+
+const char*
+rebuildReason(const DecoderStructKey& armed, const DecoderStructKey& want)
+{
+    // Every field but the batch size, in declaration order.
+    const std::pair<const char*, bool> differs[] = {
+        {"hidden", armed.hidden != want.hidden},
+        {"moeIntermediate", armed.moeIntermediate != want.moeIntermediate},
+        {"numExperts", armed.numExperts != want.numExperts},
+        {"topK", armed.topK != want.topK},
+        {"headDim", armed.headDim != want.headDim},
+        {"numQHeads", armed.numQHeads != want.numQHeads},
+        {"numKvHeads", armed.numKvHeads != want.numKvHeads},
+        {"moeTiling", armed.moeTiling != want.moeTiling},
+        {"moeTile", armed.moeTile != want.moeTile},
+        {"moeRegions", armed.moeRegions != want.moeRegions},
+        {"attnStrategy", armed.attnStrategy != want.attnStrategy},
+        {"attnRegions", armed.attnRegions != want.attnRegions},
+        {"kvTileRows", armed.kvTileRows != want.kvTileRows},
+        {"denseTile", armed.denseTile != want.denseTile},
+        {"weightTileCols", armed.weightTileCols != want.weightTileCols},
+        {"seed", armed.seed != want.seed},
+    };
+    for (const auto& [field, differ] : differs)
+        if (differ)
+            return field;
+    DecoderStructKey same_batch = armed;
+    same_batch.batch = want.batch;
+    STEP_ASSERT(same_batch == want,
+                "rebuildReason misses a DecoderStructKey field");
+    return nullptr;
 }
 
 StreamPort
@@ -163,7 +208,7 @@ buildDecoderLayer(Graph& g, const DecoderParams& p,
     // Layer input activations.
     auto& in_src = g.add<SourceOp>(
         "layer.in", rowStreamTokens(B, H),
-        StreamShape({Dim::fixed(B), Dim::fixed(1)}), DataType::tile(1, H));
+        StreamShape({batchDim(), Dim::fixed(1)}), DataType::tile(1, H));
     if (rearm)
         rearm->layerIn = &in_src;
 
@@ -212,11 +257,11 @@ buildDecoderLayer(Graph& g, const DecoderParams& p,
 }
 
 void
-rearmDecoderLayer(Graph& g, const DecoderRearmHandles& h,
+rearmDecoderLayer(Graph& g, DecoderRearmHandles& h,
                   const DecoderParams& p, const IterationSpec& spec)
 {
     const auto B = static_cast<int64_t>(spec.kvLens.size());
-    STEP_ASSERT(h.valid && h.key == decoderStructKey(p, B),
+    STEP_ASSERT(h.valid && !rebuildReason(h.key, decoderStructKey(p, B)),
                 "rearmDecoderLayer structural key mismatch: recycle and "
                 "rebuild instead");
     STEP_ASSERT(static_cast<int64_t>(spec.trace.perToken.size()) == B,
@@ -235,6 +280,7 @@ rearmDecoderLayer(Graph& g, const DecoderRearmHandles& h,
     }
     rearmAttentionLayer(h.attn, attnParamsFor(p, B), spec.kvLens);
     rearmMoeLayer(h.moe, moeParamsFor(p, B), spec.trace);
+    h.key.batch = B;
 }
 
 namespace {
@@ -263,17 +309,25 @@ runDecoderIteration(const DecoderParams& p, const IterationSpec& spec,
     if (reuse) {
         if (rearm) {
             DecoderStructKey key = decoderStructKey(p, B);
-            if (rearm->valid && rearm->key == key) {
-                // Fast path: patch the recycled graph in place instead
-                // of re-running ~190 operator constructors. The
-                // structure is the verified one, so no re-verification.
-                ++rearm->rearms;
+            const char* miss =
+                rearm->valid ? rebuildReason(rearm->key, key) : "initial";
+            if (!miss) {
+                // Fast path: patch the armed graph in place instead of
+                // re-running ~190 operator constructors, retargeting it
+                // when the batch size changed. A same-batch rearm keeps
+                // the verified geometry; a retarget changed channel
+                // depths, so it is verified again.
+                const bool retarget = rearm->key.batch != B;
+                ++(retarget ? rearm->retargets : rearm->rearms);
                 rearmDecoderLayer(*reuse, *rearm, p, spec);
+                if (retarget && vopts)
+                    verifyIterationGraph(*reuse, *vopts);
             } else {
-                // Structural change (batch size, layer config, policy
-                // split): fall back to a full recycle + rebuild and
-                // refresh the handles.
+                // Structural change (layer config, policy split): fall
+                // back to a full recycle + rebuild and refresh the
+                // handles.
                 ++rearm->rebuilds;
+                ++rearm->rebuildReasons[miss];
                 reuse->recycle(sc);
                 buildDecoderLayer(*reuse, p, spec.trace, spec.kvLens,
                                   rearm);

@@ -9,6 +9,9 @@
  */
 #pragma once
 
+#include <map>
+#include <string_view>
+
 #include "ops/graph.hh"
 #include "workloads/attention.hh"
 #include "workloads/moe.hh"
@@ -61,11 +64,16 @@ StreamPort buildDenseProj(Graph& g, const std::string& name,
 
 /**
  * Structural fingerprint of a decoder-layer graph: everything that
- * determines the operator set and channel geometry. KV lengths, expert
- * traces, and policy-assigned bandwidths are deliberately absent — they
- * are per-iteration state the rearm path patches in place. When the key
- * changes (batch size, layer config, parallelization split) the graph
- * must be recycled and rebuilt.
+ * determines the operator set and channel wiring, plus the batch size
+ * the graph is currently armed with. KV lengths, expert traces, and
+ * policy-assigned bandwidths are deliberately absent — they are
+ * per-iteration state the rearm path patches in place. The batch size
+ * B is a rearm payload too: the batch-long streams are built over one
+ * shared symbolic dim, and sources, the dispatcher's total, and the
+ * B-dependent channel depths are re-fed on every rearm. So a key that
+ * differs only in `batch` retargets the armed graph in place; any other
+ * field change (layer config, parallelization split) recycles and
+ * rebuilds it.
  */
 struct DecoderStructKey
 {
@@ -95,20 +103,29 @@ struct DecoderStructKey
 DecoderStructKey decoderStructKey(const DecoderParams& p, int64_t batch);
 
 /**
+ * Why a graph armed under @p armed cannot be rearmed for @p want: the
+ * name of the first key field, other than `batch`, that differs (e.g.
+ * "attnRegions"), or nullptr when a rearm — retargeting the batch size
+ * if it changed — is valid.
+ */
+const char* rebuildReason(const DecoderStructKey& armed,
+                          const DecoderStructKey& want);
+
+/**
  * The SimConfig a serving iteration at @p batch runs under (channel
  * capacity scales with the batch). Exported so benches and tests build
- * exactly the graph the engine runs; rearm asserts the channel
- * geometry it implies is unchanged.
+ * exactly the graph the engine runs; a rearm for @p batch re-sizes the
+ * armed graph's channels to it.
  */
 SimConfig iterationSimConfig(int64_t batch);
 
 /**
  * Typed handles to the per-iteration operators of a built decoder-layer
- * graph plus the structural key they were built under. Owned by the
- * graph's driver (e.g. the serving engine) and refreshed by
- * buildDecoderLayer on every full rebuild; runDecoderIteration uses
- * them to take the structure-preserving rearm fast path whenever the
- * key still matches.
+ * graph plus the structural key it is armed with. Owned by whoever runs
+ * the graph (e.g. the serving engine) and refreshed by buildDecoderLayer
+ * on every full rebuild; runDecoderIteration uses them to take the
+ * structure-preserving rearm fast path whenever rebuildReason() allows
+ * it, whatever the batch size.
  */
 struct DecoderRearmHandles
 {
@@ -120,8 +137,12 @@ struct DecoderRearmHandles
     AttnRearmHandles attn;
     MoeRearmHandles moe;
     // Path counters (observability for benches and tests).
-    uint64_t rearms = 0;
-    uint64_t rebuilds = 0;
+    uint64_t rearms = 0;    ///< rearms at the armed batch size
+    uint64_t retargets = 0; ///< rearms that changed the batch size
+    uint64_t rebuilds = 0;  ///< full (recycle +) rebuilds
+    /** Rebuilds by miss reason: the rebuildReason() field, or
+     *  "initial" for the first build. */
+    std::map<std::string_view, uint64_t> rebuildReasons;
 };
 
 /**
@@ -156,13 +177,15 @@ struct IterationSpec
 
 /**
  * Structure-preserving re-arm of a previously built decoder-layer
- * graph: Graph::rearm plus per-operator patches for the iteration's KV
- * lengths, expert trace, and bandwidths. Valid only while
- * decoderStructKey(p, B) matches the build; metrics are bit-identical
- * to a cold build with the same (p, spec). Exposed separately from
- * runDecoderIteration so benches can time the rearm cost alone.
+ * graph: Graph::rearm plus per-operator patches for the iteration's
+ * batch size, KV lengths, expert trace, and bandwidths, after which
+ * h.key.batch is the new batch size. Valid whenever
+ * rebuildReason(h.key, decoderStructKey(p, B)) is null; metrics are
+ * bit-identical to a cold build with the same (p, spec). Exposed
+ * separately from runDecoderIteration so benches can time the rearm
+ * cost alone.
  */
-void rearmDecoderLayer(Graph& g, const DecoderRearmHandles& h,
+void rearmDecoderLayer(Graph& g, DecoderRearmHandles& h,
                        const DecoderParams& p, const IterationSpec& spec);
 
 /**
@@ -172,15 +195,18 @@ void rearmDecoderLayer(Graph& g, const DecoderRearmHandles& h,
  * @p reuse is non-null it must be an arena-backed Graph owned by the
  * caller: the previous build is recycled in place and the new iteration
  * graph reuses its operator storage, pooled channels, and interned
- * names (see Graph::recycle). When @p rearm is also non-null and the
- * structural key matches the previous build, even the rebuild is
- * skipped: the recycled graph is patched in place (rearmDecoderLayer)
- * — the fast path the serving engine runs on. On a key change the
- * handles are refreshed by a full recycle+rebuild.
+ * names (see Graph::recycle). When @p rearm is also non-null, the
+ * rebuild is skipped whenever rebuildReason() allows it: the armed
+ * graph is patched in place (rearmDecoderLayer) — the fast path the
+ * serving engine runs on. The decode batch size is a rearm payload, so
+ * a batch change retargets the graph instead of rebuilding it; only a
+ * change of another key field recycles and rebuilds, refreshing the
+ * handles. A serving engine therefore builds its graph once per run.
  *
  * When @p vopts is non-null every fresh build — the cold path and the
- * rearm structural-key fallback, but not the structure-preserving rearm
- * itself — is statically verified (Graph::verify) before it runs; an
+ * rearm structural-key fallback — and every retarget (its channel
+ * depths changed) is statically verified (Graph::verify) before it
+ * runs; a same-batch rearm keeps the verified geometry and is not. An
  * error-severity finding raises FatalError with the rendered report.
  * Verification is read-only, so a clean verified run is byte-identical
  * to an unverified one.

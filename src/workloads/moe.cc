@@ -264,6 +264,7 @@ buildMoeLayer(Graph& g, const MoeParams& p, const ExpertTrace& trace,
     const int64_t E = p.cfg.numExperts;
     const int64_t Tc = p.weightTileCols;
     const auto B = static_cast<int64_t>(trace.perToken.size());
+    const Dim batch_dim = p.batchDim ? *p.batchDim : Dim::fixed(B);
     STEP_ASSERT(I % Tc == 0 && H % Tc == 0,
                 "weight tile cols must divide I and H");
     STEP_ASSERT(!p.functional || token_rows,
@@ -276,7 +277,7 @@ buildMoeLayer(Graph& g, const MoeParams& p, const ExpertTrace& trace,
     } else {
         auto& in_src = g.add<SourceOp>(
             "moe.in", rowStreamTokens(B, H, token_rows),
-            StreamShape({Dim::fixed(B), Dim::fixed(1)}),
+            StreamShape({batch_dim, Dim::fixed(1)}),
             DataType::tile(1, H));
         if (rearm)
             rearm->in = &in_src;
@@ -285,10 +286,10 @@ buildMoeLayer(Graph& g, const MoeParams& p, const ExpertTrace& trace,
 
     // ---- router selector streams ------------------------------------
     auto& selA = g.add<SourceOp>("moe.selA", moeSelTokens(trace),
-                                 StreamShape({Dim::fixed(B)}),
+                                 StreamShape({batch_dim}),
                                  DataType::selector(E));
     auto& selB = g.add<SourceOp>("moe.selB", moeSelTokens(trace),
-                                 StreamShape({Dim::fixed(B)}),
+                                 StreamShape({batch_dim}),
                                  DataType::selector(E));
     if (rearm) {
         rearm->selA = &selA;

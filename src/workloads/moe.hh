@@ -48,6 +48,13 @@ struct MoeParams
      * at comparable cycles).
      */
     double regionBwBeta = 1.0;
+    /**
+     * Dimension of the batch-long streams (input rows, router
+     * selectors). Unset: Dim::fixed(batch). The decoder layer passes
+     * one shared symbolic dim, so the declared port shapes stay true
+     * when a rearm changes the batch size.
+     */
+    std::optional<Dim> batchDim;
     /** Build payload-carrying tiles for functional checking. */
     bool functional = false;
     uint64_t seed = 42;
@@ -99,8 +106,9 @@ MoeBuild buildMoeLayer(Graph& g, const MoeParams& p,
 
 /**
  * Re-arm a built MoE layer for a new expert-routing trace and the
- * current policy bandwidth (timing mode only). The trace's batch size
- * and the layer geometry must match the build; metrics are
+ * current policy bandwidth (timing mode only). The layer geometry must
+ * match the build; the trace's batch size may differ from it when the
+ * layer was built over a symbolic MoeParams::batchDim. Metrics are
  * bit-identical to a full rebuild with the same parameters.
  */
 void rearmMoeLayer(const MoeRearmHandles& h, const MoeParams& p,

@@ -347,7 +347,9 @@ TEST(Engine, RecycledGraphsMatchRebuildPathOver100Iterations)
 {
     // Acceptance gate for graph recycling: >= 100 batching iterations on
     // one engine instance, with metrics identical to rebuilding the
-    // iteration graph from scratch every time.
+    // iteration graph from scratch every time. The recycled run builds
+    // its graph once and retargets it on every batch-size change, so
+    // this cold-path oracle covers the retarget path too.
     TraceConfig tc = burstyTrace(60);
     QueueDepthPolicy policy;
 
@@ -374,6 +376,27 @@ TEST(Engine, RecycledGraphsMatchRebuildPathOver100Iterations)
                      rebuild.summary.goodputTokensPerKcycle);
     EXPECT_DOUBLE_EQ(recycled.summary.computeUtilization,
                      rebuild.summary.computeUtilization);
+
+    int64_t decode_iters = 0;
+    int64_t batch_changes = 0;
+    int64_t prev_batch = 0;
+    for (const IterationSample& it : recycled.timeline.samples()) {
+        if (it.decodeBatch == 0)
+            continue;
+        ++decode_iters;
+        if (prev_batch != 0 && it.decodeBatch != prev_batch)
+            ++batch_changes;
+        prev_batch = it.decodeBatch;
+    }
+    EXPECT_GE(batch_changes, 10);
+    EXPECT_EQ(recycled.graphRebuilds, 1u);
+    EXPECT_EQ(recycled.graphRetargets,
+              static_cast<uint64_t>(batch_changes));
+    EXPECT_EQ(recycled.graphRearms + recycled.graphRetargets +
+                  recycled.graphRebuilds,
+              static_cast<uint64_t>(decode_iters));
+    EXPECT_EQ(rebuild.graphRebuilds, static_cast<uint64_t>(decode_iters));
+    EXPECT_EQ(rebuild.graphRearms + rebuild.graphRetargets, 0u);
 }
 
 TEST(Engine, DeterministicReplayWithRecycledGraphs)
