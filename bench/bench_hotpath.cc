@@ -270,8 +270,8 @@ struct ServingResult
     double rearmEventsPerSec = 0;
     double rearmBuildUs = 0; ///< graph rearm + patch cost, no run
     uint64_t eventsPerIter = 0;
-    uint64_t switchesPerIter = 0;       ///< timed-wait merge (default)
-    uint64_t switchesPerIterLegacy = 0; ///< patience-yield merge
+    uint64_t switchesPerIter = 0;         ///< shape ops folded (default)
+    uint64_t switchesPerIterOpChains = 0; ///< shape ops as operators
 };
 
 ServingResult
@@ -358,16 +358,16 @@ runServing(int reps)
             runDecoderIteration(p, spec, &sched);
         res.rebuildItersPerSec = reps / seconds(t0, Clk::now());
     }
-    // Context switches per decoder iteration, with the WaitUntil merge
-    // (default) and the legacy patience-yield merge.
-    for (bool timed : {true, false}) {
-        SimConfig sc = iterationSimConfig(
-            static_cast<int64_t>(spec.kvLens.size()));
-        sc.mergeTimedWait = timed;
-        Graph g(sc);
+    // Context switches per decoder iteration, with the stop-level shape
+    // ops folded into channels (default) and built as operators (the
+    // fusion's oracle).
+    for (bool chains : {false, true}) {
+        Graph g(iterationSimConfig(
+            static_cast<int64_t>(spec.kvLens.size())));
+        g.setShapeOpChains(chains);
         buildDecoderLayer(g, p, spec.trace, spec.kvLens);
         SimResult r = g.run();
-        (timed ? res.switchesPerIter : res.switchesPerIterLegacy) =
+        (chains ? res.switchesPerIterOpChains : res.switchesPerIter) =
             r.contextSwitches;
     }
     return res;
@@ -414,12 +414,11 @@ main(int argc, char** argv)
     std::printf("  rearm build cost:    %9.1f us/iter\n", sv.rearmBuildUs);
     std::printf("  rearm vs rebuild:    %9.2fx\n",
                 sv.rearmItersPerSec / sv.rebuildItersPerSec);
-    std::printf("  switches/iter:       %9llu (legacy merge: %llu, "
-                "%.2fx)\n",
+    std::printf("  switches/iter:       %9llu (shape ops as operators: "
+                "%llu)\n",
                 static_cast<unsigned long long>(sv.switchesPerIter),
-                static_cast<unsigned long long>(sv.switchesPerIterLegacy),
-                static_cast<double>(sv.switchesPerIterLegacy) /
-                    static_cast<double>(sv.switchesPerIter));
+                static_cast<unsigned long long>(
+                    sv.switchesPerIterOpChains));
 
     bool zero_alloc = pp.steadyAllocs == 0 && mp.steadyAllocs == 0 &&
                       rt.steadyAllocs == 0;
@@ -458,8 +457,6 @@ main(int argc, char** argv)
               static_cast<double>(sv.eventsPerIter), "events");
         j.set("serving_switches_per_iter",
               static_cast<double>(sv.switchesPerIter), "switches");
-        j.set("serving_switches_per_iter_legacy_merge",
-              static_cast<double>(sv.switchesPerIterLegacy), "switches");
         j.set("zero_alloc_steady_state",
               std::string(zero_alloc ? "true" : "false"));
         if (!j.writeTo(json_path)) {

@@ -10,10 +10,13 @@ the baseline — any metric whose unit ends in "/sec" — must be present in
 the current artifact and reach at least `threshold` x the baseline
 value. A baseline entry may also opt into gating explicitly with
 {"gate": "floor"}: that enforces the same higher-is-better floor on a
-non-rate metric (goodput under faults, availability). Other metrics
-(counts, costs, strings) are reported but not enforced, so the script
-never parses by position and never misfires on cost metrics where
-smaller is better.
+non-rate metric (goodput under faults, availability). A baseline entry
+marked {"gate": "ceiling"} is lower-is-better and gated with no slack:
+the current value must not exceed the baseline value (for deterministic
+counts such as context switches per decoder iteration, where any rise
+is a real regression, not noise). Other metrics (counts, costs,
+strings) are reported but not enforced, so the script never parses by
+position and never misfires on cost metrics where smaller is better.
 
 The committed bench/baseline.json deliberately holds values well below
 a warm developer box (roughly 50-60% of locally measured numbers): CI
@@ -38,15 +41,18 @@ def load(path):
     return doc
 
 
-def rate_metrics(doc):
-    """Gated metrics: rate units ("*/sec") plus explicit floor markers."""
+def gated_metrics(doc):
+    """Gated metrics -> (value, unit, gate): rate units ("*/sec") and
+    explicit "floor" markers are floors, "ceiling" markers ceilings."""
     out = {}
     for key, entry in doc.items():
         if not (isinstance(entry, dict) and "value" in entry):
             continue
-        if (str(entry.get("unit", "")).endswith("/sec")
-                or entry.get("gate") == "floor"):
-            out[key] = (float(entry["value"]), entry["unit"])
+        gate = entry.get("gate")
+        if gate == "ceiling":
+            out[key] = (float(entry["value"]), entry["unit"], "ceiling")
+        elif str(entry.get("unit", "")).endswith("/sec") or gate == "floor":
+            out[key] = (float(entry["value"]), entry["unit"], "floor")
     return out
 
 
@@ -59,15 +65,15 @@ def main():
                          "(default 0.8)")
     args = ap.parse_args()
 
-    baseline = rate_metrics(load(args.baseline))
+    baseline = gated_metrics(load(args.baseline))
     current_doc = load(args.current)
     if not baseline:
         sys.exit(f"{args.baseline}: no gated metrics (unit '*/sec' or "
-                 f"\"gate\": \"floor\") found")
+                 f"\"gate\": \"floor\"/\"ceiling\") found")
 
     failures = []
     width = max(len(k) for k in baseline)
-    for key, (base_v, unit) in sorted(baseline.items()):
+    for key, (base_v, unit, gate) in sorted(baseline.items()):
         # The gate marker lives in the baseline; the current artifact
         # just reports values, so look the key up in the raw document.
         entry = current_doc.get(key)
@@ -76,20 +82,26 @@ def main():
             print(f"FAIL {key:<{width}}  missing from current artifact")
             continue
         cur_v = float(entry["value"])
-        floor = args.threshold * base_v
-        ok = cur_v >= floor
+        if gate == "ceiling":
+            bound = base_v
+            ok = cur_v <= bound
+        else:
+            bound = args.threshold * base_v
+            ok = cur_v >= bound
         if not ok:
             failures.append(key)
         print(f"{'ok  ' if ok else 'FAIL'} {key:<{width}}  "
-              f"{cur_v:14.6g} vs floor {floor:14.6g} {unit} "
+              f"{cur_v:14.6g} vs {gate:<7} {bound:14.6g} {unit} "
               f"(baseline {base_v:.6g})")
 
     if failures:
-        print(f"\n{len(failures)} metric(s) below "
-              f"{args.threshold:.0%} of baseline", file=sys.stderr)
+        print(f"\n{len(failures)} metric(s) past their gate (floors at "
+              f"{args.threshold:.0%} of baseline, ceilings at the "
+              f"baseline)", file=sys.stderr)
         return 1
-    print(f"\nall {len(baseline)} gated metrics at or above "
-          f"{args.threshold:.0%} of baseline")
+    print(f"\nall {len(baseline)} gated metrics within their gates "
+          f"(floors at {args.threshold:.0%} of baseline, ceilings at the "
+          f"baseline)")
     return 0
 
 

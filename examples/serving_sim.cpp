@@ -18,8 +18,8 @@
  * metrics-less run.
  *
  * --verify statically checks every freshly built iteration graph
- * (structure, shape/dtype flow, deadlock-freedom, determinism — see
- * src/verify) before running it. Verification is read-only: output
+ * (structure, shape/dtype flow, deadlock-freedom — see src/verify)
+ * before running it. Verification is read-only: output
  * bytes are identical with and without the flag.
  *
  * Tracing covers the queue-depth-policy run (the interesting one):

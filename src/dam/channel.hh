@@ -21,6 +21,7 @@
 #pragma once
 
 #include <coroutine>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -33,6 +34,40 @@
 namespace step::dam {
 
 class Scheduler;
+
+/**
+ * One stop-level shape operator folded into a channel (a stream view,
+ * see ops/shape_ops.hh). Applied to every token the producer pushes; it
+ * relabels or inserts stop tokens (and, for a padded regroup, pad data
+ * tokens) exactly as the operator it replaces would, including that
+ * operator's StopCoalescer, without a context of its own.
+ */
+struct ViewStage
+{
+    enum class Kind : uint8_t
+    {
+        Flatten, ///< FlattenOp over the paper-indexed range [lo, hi]
+        Chunk,   ///< RepeatOp with count 1: a unit inner dimension
+        Regroup, ///< ReshapeOp of the innermost dim into `chunk` groups
+    };
+
+    Kind kind = Kind::Flatten;
+    uint32_t lo = 0;
+    uint32_t hi = 0;
+    int64_t chunk = 1;
+    /** Regroup: value padding the last group (none: must divide). */
+    std::optional<Value> pad;
+
+    // Run state (reset by Channel::rearm).
+    /** Regroup: elements seen in the open innermost dim. */
+    int64_t seen = 0;
+    /** Cycle the replaced operator is free for its next input token. */
+    Cycle free = 0;
+    /** The coalescer's held stop level (0: none) and the cycle it
+     *  arrives downstream if released now. */
+    uint32_t held = 0;
+    Cycle heldAt = 0;
+};
 
 class Channel
 {
@@ -63,6 +98,31 @@ class Channel
      * rings only grow when a run first reaches a new occupancy.
      */
     void rearm(size_t capacity);
+
+    /**
+     * Compose a folded shape operator onto this channel's output. Each
+     * stage keeps the timing of the operator it replaces: one busy
+     * cycle per input token, one token per cycle, then one hop of the
+     * channel's latency, so a token crosses a k-stage view in
+     * latency + k * (latency + 1) cycles. Each stage coalesces stops
+     * like the operator's StopCoalescer. The operator holds a stop
+     * while its next input is already queued, which is what a token
+     * pushed within the same producer resume models; the stops still
+     * held when that resume ends are released then (releaseHeld), as
+     * the operator would on finding its input drained. A pushed token's
+     * credit returns when the last entry it produced is popped.
+     */
+    void fold(ViewStage stage);
+
+    /**
+     * Release the stops the folded stages of every channel @p writer
+     * pushed to still hold; the scheduler calls this when a resume of
+     * @p writer ends.
+     */
+    static void releaseHeld(Context& writer);
+
+    /** The folded stages, in application order (empty: plain FIFO). */
+    const std::vector<ViewStage>& view() const { return view_; }
 
     const std::string& name() const { return name_; }
     size_t capacity() const { return capacity_; }
@@ -184,6 +244,16 @@ class Channel
     // token and must inline into the operator coroutines.
     void push(Context& writer, Token&& t, Cycle min_ready = 0);
     Token pop(Context& reader);
+    /** push() through the folded stages (out of line: cold for most
+     *  channels). */
+    void pushViewed(Context& writer, Token&& t, Cycle min_ready);
+    /** Run @p t, arriving at @p arrive, through stages [k, end) and
+     *  append what leaves the last one to the FIFO. */
+    void feed(size_t k, Token&& t, Cycle arrive, Context& writer);
+    /** Finish a feed: mark the credit-releasing entry, wake a reader. */
+    void finishFeed(Context& writer, bool release_credit);
+    /** Take the next credit, advancing the writer to its release. */
+    void takeCredit(Context& writer);
 
     std::string name_;
     size_t capacity_;
@@ -192,9 +262,13 @@ class Channel
     struct Entry
     {
         Cycle ready = 0;
+        /** Popping this entry releases a credit: always, except for
+         *  all but the last entry one viewed push produced. */
+        bool releasesCredit = true;
         Token tok;
     };
-    // entries + credits (incl. implicit ones) == capacity at all times.
+    // Credit-releasing entries + credits (incl. implicit ones) ==
+    // capacity at all times (every entry releases on a plain FIFO).
     // Rings grow lazily to the occupancy high-water mark: construction
     // touches nothing, and steady-state push/pop never reallocates.
     // The `capacity` initial credits (all available at t=0) are
@@ -211,6 +285,17 @@ class Channel
     Context* waitingReader_ = nullptr;
     Context* waitingWriter_ = nullptr;
     uint64_t totalPushed_ = 0;
+
+    std::vector<ViewStage> view_;
+    /** Next channel in the writer's held list (Context::heldViews_). */
+    Channel* nextHeld_ = nullptr;
+    bool listedHeld_ = false;
+    /** Feed state: entries appended so far, the FIFO index of the
+     *  first, and whether the first takes a credit (a push) or not (a
+     *  released stop). */
+    size_t feedAppended_ = 0;
+    size_t feedHead_ = 0;
+    bool feedTakesCredit_ = false;
 };
 
 /**
@@ -309,7 +394,7 @@ struct Yield
 namespace step::dam {
 
 inline void
-Channel::push(Context& writer, Token&& t, Cycle min_ready)
+Channel::takeCredit(Context& writer)
 {
     STEP_ASSERT(hasCredit(), "push without credit on " << name_);
     // The implicit t=0 credits sit at the front of the credit FIFO:
@@ -322,6 +407,16 @@ Channel::push(Context& writer, Token&& t, Cycle min_ready)
         credits_.pop_front();
     }
     writer.advanceTo(credit);
+}
+
+inline void
+Channel::push(Context& writer, Token&& t, Cycle min_ready)
+{
+    if (!view_.empty()) [[unlikely]] {
+        pushViewed(writer, std::move(t), min_ready);
+        return;
+    }
+    takeCredit(writer);
     Cycle ready = std::max(writer.now() + latency_, min_ready);
     // FIFO ordering: a token can never become ready before a
     // predecessor still in the queue (lastReady_ mirrors the tail's
@@ -331,6 +426,7 @@ Channel::push(Context& writer, Token&& t, Cycle min_ready)
     lastReady_ = ready;
     Entry& slot = entries_.push_slot();
     slot.ready = ready;
+    slot.releasesCredit = true;
     slot.tok = std::move(t);
     ++totalPushed_;
     if (waitingReader_) {
@@ -350,9 +446,12 @@ Channel::pop(Context& reader)
     Entry& e = entries_.front();
     reader.advanceTo(e.ready);
     Token out = std::move(e.tok);
+    const bool release = e.releasesCredit;
     entries_.pop_front();
     if (entries_.empty())
         lastReady_ = 0;
+    if (!release)
+        return out;
     credits_.push_back(reader.now());
     if (waitingWriter_) {
         Context* w = waitingWriter_;

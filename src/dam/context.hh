@@ -87,6 +87,7 @@ class Context
         sched_ = nullptr;
         task_ = SimTask{};
         heapPos_ = kNotQueued;
+        heldViews_ = nullptr;
     }
 
   private:
@@ -107,6 +108,10 @@ class Context
     uint64_t id_ = 0;
     /** Slot in the scheduler's ready heap; kNotQueued when absent. */
     size_t heapPos_ = kNotQueued;
+    /** Viewed channels this context pushed to whose folded stages hold
+     *  a stop; released when the current resume ends (intrusive list
+     *  through Channel::nextHeld_). */
+    Channel* heldViews_ = nullptr;
 };
 
 } // namespace step::dam

@@ -108,6 +108,11 @@ Scheduler::drain()
         if (trace_) [[unlikely]]
             trace_->schedResume(ctx, ctx->name(), vnow);
         ctx->task_.resume();
+        // The resume is over: stops the folded shape operators of the
+        // channels it pushed to still hold are released now, as those
+        // operators would on finding their input drained.
+        if (ctx->heldViews_)
+            Channel::releaseHeld(*ctx);
         if (ctx->task_.done()) {
             if (auto ex = ctx->task_.exception())
                 std::rethrow_exception(ex);

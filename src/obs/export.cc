@@ -222,21 +222,14 @@ writeRequestJsonlFile(const std::string& path,
     return writeRequestJsonl(out, sinks);
 }
 
+namespace {
+
+/** Print @p merged (key -> resumes) sorted descending, top @p top_n. */
 void
-printSwitchAttribution(std::ostream& os,
-                       const std::vector<const TraceSink*>& sinks,
-                       size_t top_n)
+printResumeTable(std::ostream& os, const char* key_header,
+                 const std::map<std::string_view, uint64_t>& merged,
+                 uint64_t total, size_t top_n)
 {
-    // Merge by name across sinks (ordered map: deterministic and
-    // replica-order independent).
-    std::map<std::string_view, uint64_t> merged;
-    uint64_t total = 0;
-    for (const TraceSink* s : sinks) {
-        for (const SwitchAttribution& a : s->switchAttribution()) {
-            merged[a.name] += a.switches;
-            total += a.switches;
-        }
-    }
     std::vector<SwitchAttribution> rows;
     rows.reserve(merged.size());
     for (const auto& [name, n] : merged)
@@ -247,10 +240,7 @@ printSwitchAttribution(std::ostream& os,
                              ? a.switches > b.switches
                              : a.name < b.name;
               });
-
-    os << "context-switch attribution (" << total << " resumes over "
-       << rows.size() << " op names; fusion candidates lead):\n";
-    Table t({"op", "resumes", "share %", "cum %"});
+    Table t({key_header, "resumes", "share %", "cum %"});
     double cum = 0.0;
     for (size_t i = 0; i < rows.size() && i < top_n; ++i) {
         double share = total
@@ -265,6 +255,38 @@ printSwitchAttribution(std::ostream& os,
             .cellF(cum, 1);
     }
     t.print(os);
+}
+
+} // namespace
+
+void
+printSwitchAttribution(std::ostream& os,
+                       const std::vector<const TraceSink*>& sinks,
+                       size_t top_n)
+{
+    // Merge by name across sinks (ordered maps: deterministic and
+    // replica-order independent), and by op kind: the last dotted
+    // component of the name ("qkv.flat" and "moe.e3.flat" are both
+    // "flat").
+    std::map<std::string_view, uint64_t> byName;
+    std::map<std::string_view, uint64_t> byKind;
+    uint64_t total = 0;
+    for (const TraceSink* s : sinks) {
+        for (const SwitchAttribution& a : s->switchAttribution()) {
+            byName[a.name] += a.switches;
+            const size_t dot = a.name.rfind('.');
+            byKind[dot == std::string_view::npos ? a.name
+                                                 : a.name.substr(dot + 1)] +=
+                a.switches;
+            total += a.switches;
+        }
+    }
+
+    os << "context-switch attribution (" << total << " resumes over "
+       << byName.size() << " op names; fusion candidates lead):\n";
+    printResumeTable(os, "op", byName, total, top_n);
+    os << "\nby op kind (" << byKind.size() << " kinds):\n";
+    printResumeTable(os, "kind", byKind, total, top_n);
 }
 
 std::string

@@ -50,9 +50,11 @@ bool writeRequestJsonlFile(const std::string& path,
 
 /**
  * Merge the sinks' switch-attribution histograms by op name and print
- * the top @p top_n rows (resumes, share, cumulative share). This is the
- * work-list for trivial-op fusion: names that dominate the table are
- * the chains to fuse first.
+ * the top @p top_n rows (resumes, share, cumulative share), then the
+ * same table grouped by op kind (the last dotted component of the name,
+ * e.g. "flat" for "qkv.flat" and "moe.e3.flat"). This is the work-list
+ * for trivial-op fusion: the per-name table is flat, while the by-kind
+ * table shows which operator kinds to fold first.
  */
 void printSwitchAttribution(std::ostream& os,
                             const std::vector<const TraceSink*>& sinks,

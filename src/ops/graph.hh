@@ -79,6 +79,15 @@ class Graph
 
     const SimConfig& config() const { return cfg_; }
 
+    /**
+     * Test oracle switch: when set, the stream-view builders
+     * (flattenView, chunkView, regroupView in ops/shape_ops.hh) build
+     * their shape operators instead of folding into channels, so a
+     * workload can be built both ways and compared. Off by default.
+     */
+    void setShapeOpChains(bool on) { shapeOpChains_ = on; }
+    bool shapeOpChains() const { return shapeOpChains_; }
+
     /** Construct and register an operator. */
     template <typename OpT, typename... Args>
     OpT&
@@ -158,8 +167,8 @@ class Graph
 
     /**
      * Statically analyze the current build without executing it
-     * (structural well-formedness, shape/dtype flow, deadlock-freedom,
-     * determinism audit — see src/verify/verifier.hh). Read-only:
+     * (structural well-formedness, shape/dtype flow through folded
+     * channels, deadlock-freedom — see src/verify/verifier.hh). Read-only:
      * verification never changes simulation behavior or output bytes.
      */
     [[nodiscard]] verify::VerifyReport
@@ -194,6 +203,7 @@ class Graph
     bool customMem_ = false;
     Scratchpad spad_;
     bool ran_ = false;
+    bool shapeOpChains_ = false;
 };
 
 } // namespace step

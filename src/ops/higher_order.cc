@@ -271,6 +271,7 @@ dam::SimTask
 FlatMapOp::run()
 {
     const auto b = static_cast<uint32_t>(rank_);
+    int64_t left = limit_; // data tokens still to emit (< 0: unlimited)
     while (true) {
         if (in_.ch->empty())
             STEP_EMIT(out_.ch, coal_.flush());
@@ -290,6 +291,11 @@ FlatMapOp::run()
                             et.level() < b),
                             "FlatMap fn emitted token beyond rank "
                             << rank_);
+                if (et.isData() && left >= 0) {
+                    if (left == 0)
+                        continue;
+                    --left;
+                }
                 STEP_EMIT(out_.ch, coal_.onToken(et));
             }
             STEP_EMIT(out_.ch, coal_.onStop(b));
@@ -311,6 +317,8 @@ FlatMapOp::rearm(const RearmSpec& spec)
     coal_.reset();
     if (spec.computeBw >= 0)
         computeBw_ = spec.computeBw;
+    if (spec.count >= 0)
+        limit_ = spec.count;
 }
 
 // ---------------------------------------------------------------------

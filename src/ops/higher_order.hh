@@ -180,7 +180,15 @@ class FlatMapOp : public OpBase
 
     int64_t allocatedComputeBw() const override { return computeBw_; }
 
+    /** Applies a new data limit (RearmSpec::count) and compute bw. */
     void rearm(const RearmSpec& spec) override;
+
+    /**
+     * Emit at most @p n expansion data tokens over the whole run and
+     * drop the rest: the valid rows of a stream whose last group was
+     * padded to a full tile. < 0 (the default) emits everything.
+     */
+    void setDataLimit(int64_t n) { limit_ = n; }
 
     void
     collectPorts(std::vector<PortDecl>& out) const override
@@ -194,6 +202,7 @@ class FlatMapOp : public OpBase
     FlatMapFn fn_;
     size_t rank_;
     int64_t computeBw_;
+    int64_t limit_ = -1;
     StreamPort out_;
     StopCoalescer coal_;
     /** Expansion scratch (capacity reused across events). */

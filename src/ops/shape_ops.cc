@@ -4,6 +4,102 @@
 
 namespace step {
 
+namespace {
+
+/** ReshapeOp's output shape: inner(rank) split into chunks of @p chunk. */
+StreamShape
+splitShape(const StreamShape& in, size_t rank, int64_t chunk)
+{
+    DimVec dims = in.dims();
+    size_t vidx = in.rank() - 1 - rank;
+    Dim d = dims[vidx];
+    Dim outer{sym::ceilDiv(d.size, sym::Expr(chunk)), d.kind};
+    if (d.isRagged())
+        outer = Dim::ragged();
+    dims[vidx] = outer;
+    dims.insert(vidx + 1, Dim::fixed(chunk));
+    return StreamShape(dims);
+}
+
+StreamShape
+stageShape(const dam::ViewStage& s, const StreamShape& in)
+{
+    switch (s.kind) {
+    case dam::ViewStage::Kind::Flatten:
+        return in.flattened(s.lo, s.hi);
+    case dam::ViewStage::Kind::Chunk:
+        return in.concatInner(StreamShape::fixed({1}));
+    case dam::ViewStage::Kind::Regroup:
+        return splitShape(in, 0, s.chunk);
+    }
+    return in;
+}
+
+StreamPort
+foldInto(StreamPort in, dam::ViewStage stage)
+{
+    in.shape = stageShape(stage, in.shape);
+    in.ch->fold(std::move(stage));
+    return in;
+}
+
+} // namespace
+
+// ---------------------------------------------------------------------
+// Stream views
+// ---------------------------------------------------------------------
+
+StreamPort
+flattenView(Graph& g, const std::string& name, StreamPort in, size_t lo,
+            size_t hi)
+{
+    if (g.shapeOpChains())
+        return g.add<FlattenOp>(name, std::move(in), lo, hi).out();
+    STEP_ASSERT(lo <= hi && hi < in.rank(),
+                "flatten view range [" << lo << "," << hi << "] of rank "
+                << in.rank() << " on " << in.ch->name());
+    dam::ViewStage s;
+    s.kind = dam::ViewStage::Kind::Flatten;
+    s.lo = static_cast<uint32_t>(lo);
+    s.hi = static_cast<uint32_t>(hi);
+    return foldInto(std::move(in), std::move(s));
+}
+
+StreamPort
+chunkView(Graph& g, const std::string& name, StreamPort in)
+{
+    if (g.shapeOpChains())
+        return g.add<RepeatOp>(name, std::move(in), 1).out();
+    dam::ViewStage s;
+    s.kind = dam::ViewStage::Kind::Chunk;
+    return foldInto(std::move(in), std::move(s));
+}
+
+StreamPort
+regroupView(Graph& g, const std::string& name, StreamPort in, int64_t chunk,
+            std::optional<Value> pad)
+{
+    if (g.shapeOpChains())
+        return g.add<ReshapeOp>(name, std::move(in), 0, chunk,
+                                std::move(pad), false)
+            .out();
+    STEP_ASSERT(chunk >= 1, "regroup view chunk must be >= 1");
+    STEP_ASSERT(in.rank() >= 1, "regroup view on a rank-0 stream");
+    dam::ViewStage s;
+    s.kind = dam::ViewStage::Kind::Regroup;
+    s.chunk = chunk;
+    s.pad = std::move(pad);
+    return foldInto(std::move(in), std::move(s));
+}
+
+StreamShape
+viewedShape(const dam::Channel& ch, StreamShape produced)
+{
+    for (const dam::ViewStage& s : ch.view())
+        produced = stageShape(s, produced);
+    return produced;
+}
+
 // ---------------------------------------------------------------------
 // Flatten
 // ---------------------------------------------------------------------
@@ -55,7 +151,8 @@ FlattenOp::run()
 // ---------------------------------------------------------------------
 
 ReshapeOp::ReshapeOp(Graph& g, const std::string& name, StreamPort in,
-                     size_t rank, int64_t chunk, std::optional<Value> pad)
+                     size_t rank, int64_t chunk, std::optional<Value> pad,
+                     bool pad_stream)
     : OpBase(g, name), in_(in), rank_(rank), chunk_(chunk),
       pad_(std::move(pad))
 {
@@ -67,20 +164,12 @@ ReshapeOp::ReshapeOp(Graph& g, const std::string& name, StreamPort in,
     in_.ch->setConsumer(this);
 
     // Split inner(rank): [..., D, ...] -> [..., ceil(D/S), S, ...].
-    DimVec dims = in_.shape.dims();
-    size_t vidx = in_.rank() - 1 - rank_;
-    Dim d = dims[static_cast<size_t>(vidx)];
-    Dim outer{sym::ceilDiv(d.size, sym::Expr(chunk_)), d.kind};
-    if (d.isRagged())
-        outer = Dim::ragged();
-    dims[vidx] = outer;
-    dims.insert(vidx + 1, Dim::fixed(chunk_));
-    out_ = StreamPort{&g.makeChannel(name + ".out"), StreamShape(dims),
-                      in_.dtype};
+    StreamShape shape = splitShape(in_.shape, rank_, chunk_);
+    out_ = StreamPort{&g.makeChannel(name + ".out"), shape, in_.dtype};
     out_.ch->setProducer(this);
-    if (pad_) {
-        padOut_ = StreamPort{&g.makeChannel(name + ".pad"),
-                             StreamShape(dims), DataType::tile(1, 1, 1)};
+    if (pad_ && pad_stream) {
+        padOut_ = StreamPort{&g.makeChannel(name + ".pad"), shape,
+                             DataType::tile(1, 1, 1)};
         padOut_.ch->setProducer(this);
     }
 }

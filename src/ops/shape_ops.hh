@@ -5,6 +5,14 @@
  * companion of Reshape's padding stream that drops padded elements after
  * compute. Shape operators only manipulate stop tokens; data contents are
  * untouched.
+ *
+ * The pure stop-level ones — Flatten, an identity Repeat (count 1) and
+ * an innermost-dim Reshape — also come as stream views: flattenView,
+ * chunkView and regroupView fold the operator into the producer's
+ * output channel (dam::Channel::fold) and return the relabelled port.
+ * A view delivers the operator's token stream with its latency but
+ * costs no context, no extra channel and no resumes; the workload
+ * builders use the views, and the operators remain as their oracle.
  */
 #pragma once
 
@@ -14,6 +22,29 @@
 #include "ops/graph.hh"
 
 namespace step {
+
+/**
+ * Stream view of FlattenOp(in, lo, hi). On a graph with
+ * Graph::shapeOpChains() set, builds that operator named @p name
+ * instead (likewise for the other views).
+ */
+StreamPort flattenView(Graph& g, const std::string& name, StreamPort in,
+                       size_t lo, size_t hi);
+
+/** Stream view of RepeatOp(in, 1): a unit innermost dimension. */
+StreamPort chunkView(Graph& g, const std::string& name, StreamPort in);
+
+/**
+ * Stream view of ReshapeOp(in, 0, chunk, pad) without its padding
+ * indicator stream: groups the innermost dim into chunks of @p chunk,
+ * padding the last one with @p pad (no pad: the dim must divide).
+ */
+StreamPort regroupView(Graph& g, const std::string& name, StreamPort in,
+                       int64_t chunk,
+                       std::optional<Value> pad = std::nullopt);
+
+/** The shape a channel's folded stages turn @p produced into. */
+StreamShape viewedShape(const dam::Channel& ch, StreamShape produced);
 
 /** Flatten the paper-indexed inner dimension range [lo, hi] into one. */
 class FlattenOp : public OpBase
@@ -44,17 +75,19 @@ class FlattenOp : public OpBase
 /**
  * Reshape splits dimension @p rank into chunks of @p chunk elements. For
  * rank 0 (the innermost dimension) a padding value pads the final chunk
- * and a boolean padding stream marks padded elements; higher dimensions
- * must be statically divisible.
+ * and, unless @p pad_stream is false, a boolean padding stream marks
+ * padded elements; higher dimensions must be statically divisible.
  */
 class ReshapeOp : public OpBase
 {
   public:
     ReshapeOp(Graph& g, const std::string& name, StreamPort in, size_t rank,
-              int64_t chunk, std::optional<Value> pad = std::nullopt);
+              int64_t chunk, std::optional<Value> pad = std::nullopt,
+              bool pad_stream = true);
 
     StreamPort out() const { return out_; }
-    /** Padding indicator stream (only when a pad value was supplied). */
+    /** Padding indicator stream (only when a pad value was supplied
+     *  and the stream requested). */
     StreamPort padOut() const { return padOut_; }
     bool hasPadStream() const { return padOut_.ch != nullptr; }
 

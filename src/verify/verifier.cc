@@ -1,6 +1,6 @@
 /**
  * @file
- * GraphVerifier implementation: four read-only analysis passes over the
+ * GraphVerifier implementation: three read-only analysis passes over the
  * channel endpoint tables and operator port declarations, plus the text
  * and JSON finding renderers. Findings are emitted in deterministic
  * graph order (ops, then channels, in creation order), so verifier
@@ -19,7 +19,7 @@
 #include "dam/channel.hh"
 #include "obs/json.hh"
 #include "ops/graph.hh"
-#include "ops/route.hh"
+#include "ops/shape_ops.hh"
 
 namespace step::verify {
 
@@ -217,12 +217,20 @@ shapeFlowPass(const View& v, std::vector<Finding>& out)
         const PortDecl& cons = *c->second;
         const std::string prodName = v.prodOp.at(ch)->name();
         const std::string consName = v.consOp.at(ch)->name();
-        if (!prod.shape.compatibleWith(cons.shape))
+        // A channel with folded shape operators delivers the producer's
+        // stream relabelled by its stages.
+        const StreamShape delivered = viewedShape(*ch, prod.shape);
+        if (!delivered.compatibleWith(cons.shape))
             out.push_back(
                 {Severity::Error, "shape.mismatch", consName, ch->name(),
                  "producer '" + prodName + "' emits " +
-                     prod.shape.toString() + " but consumer '" + consName +
-                     "' expects " + cons.shape.toString(),
+                     prod.shape.toString() +
+                     (ch->view().empty()
+                          ? std::string()
+                          : " (" + delivered.toString() +
+                                " through the channel's view)") +
+                     " but consumer '" + consName + "' expects " +
+                     cons.shape.toString(),
                  "shapes must agree in rank and every static extent; "
                  "insert a shape operator or fix the port declaration"});
         if (prod.dtype.toString() != cons.dtype.toString())
@@ -447,26 +455,6 @@ deadlockPass(const View& v, std::vector<Finding>& out)
     }
 }
 
-void
-determinismPass(const View& v, std::vector<Finding>& out)
-{
-    if (v.g.config().mergeTimedWait)
-        return;
-    for (const OpBase* op : v.g.ops()) {
-        const auto* em = dynamic_cast<const EagerMergeOp*>(op);
-        if (!em)
-            continue;
-        out.push_back(
-            {Severity::Warning, "determinism.eager-merge-poll", op->name(),
-             em->out().ch ? em->out().ch->name() : "",
-             "availability-ordered merge runs in legacy poll mode "
-             "(SimConfig::mergeTimedWait == false); its output order "
-             "depends on scheduler interleaving",
-             "enable mergeTimedWait for replay-stable arbitration, or "
-             "pin the interleaving in the test that disables it"});
-    }
-}
-
 } // namespace
 
 VerifyReport
@@ -482,8 +470,6 @@ GraphVerifier::run(const VerifyOptions& opts) const
         shapeFlowPass(v, r.findings);
     if (opts.deadlock)
         deadlockPass(v, r.findings);
-    if (opts.determinism)
-        determinismPass(v, r.findings);
     return r;
 }
 

@@ -15,8 +15,10 @@
  *    recycle()/rearm() must preserve).
  *
  *  - shape/dtype flow: for every channel, the producer's declared
- *    output view must be compatible (StreamShape::compatibleWith +
- *    dtype equality) with the consumer's declared input view.
+ *    output view, relabelled by any shape operators folded into the
+ *    channel (viewedShape), must be compatible
+ *    (StreamShape::compatibleWith + dtype equality) with the consumer's
+ *    declared input view.
  *
  *  - deadlock-freedom: build the op-level channel dependency graph,
  *    find its strongly connected components, and for each cycle
@@ -26,10 +28,6 @@
  *    tokens, or more initial tokens than its channels can buffer, is
  *    reported with a minimal cycle witness — the static counterpart of
  *    the scheduler's runtime deadlock report.
- *
- *  - determinism audit: flag operators whose output order can depend
- *    on scheduler interleaving (EagerMerge in legacy poll mode), so
- *    the seeded-replay guarantee is auditable rather than folklore.
  */
 #pragma once
 
@@ -78,7 +76,6 @@ struct VerifyOptions
     bool structural = true;
     bool shapeFlow = true;
     bool deadlock = true;
-    bool determinism = true;
 };
 
 struct VerifyReport

@@ -196,12 +196,10 @@ buildAttentionLayer(Graph& g, const AttnParams& p,
             StreamShape({batch_dim}), DataType::tile(1, 2));
         if (rearm)
             rearm->meta = &meta_src;
-        auto& qflat = g.add<FlattenOp>("attn.qflat", *ext_q, 0, 1);
+        StreamPort qflat = flattenView(g, "attn.qflat", *ext_q, 0, 1);
         auto& z = g.add<ZipOp>(
-            "attn.reqzip",
-            std::vector<StreamPort>{qflat.out(), meta_src.out()});
-        auto& rp = g.add<RepeatOp>("attn.reqchunk", z.out(), 1);
-        req_port = rp.out();
+            "attn.reqzip", std::vector<StreamPort>{qflat, meta_src.out()});
+        req_port = chunkView(g, "attn.reqchunk", z.out());
     } else {
         auto& req_src = g.add<SourceOp>(
             "attn.req",
@@ -272,8 +270,9 @@ buildAttentionLayer(Graph& g, const AttnParams& p,
     std::vector<StreamPort> region_outs;
     for (size_t r = 0; r < P; ++r) {
         std::string name = "attn.r" + std::to_string(r);
-        auto& flat = g.add<FlattenOp>(nm(name, "flat"), part.out(r), 0, 1);
-        auto& bc = g.add<BroadcastOp>(nm(name, "bc"), flat.out(), 2);
+        StreamPort flat = flattenView(g, nm(name, "flat"), part.out(r), 0,
+                                      1);
+        auto& bc = g.add<BroadcastOp>(nm(name, "bc"), flat, 2);
 
         // meta -> KV tile address stream.
         FlatMapFn addr_fn = [](const Value& v, std::vector<Token>& out,
@@ -308,9 +307,8 @@ buildAttentionLayer(Graph& g, const AttnParams& p,
         auto& q = g.add<MapOp>(nm(name, "q"),
                                std::vector<StreamPort>{bc.out(1)}, get_q,
                                0, DataType::tile(1, d));
-        auto& qr = g.add<RepeatOp>(nm(name, "qrep"), q.out(), 1);
-        auto& qe = g.add<ExpandOp>(nm(name, "qexp"), qr.out(), abc.out(2),
-                                   1);
+        StreamPort qr = chunkView(g, nm(name, "qrep"), q.out());
+        auto& qe = g.add<ExpandOp>(nm(name, "qexp"), qr, abc.out(2), 1);
         auto& zip = g.add<ZipOp>(
             nm(name, "zip"),
             std::vector<StreamPort>{qe.out(), kload.out(), vload.out()});
@@ -336,8 +334,7 @@ buildAttentionLayer(Graph& g, const AttnParams& p,
                            completion_chans[r]);
             out_rows = fbc.out(0);
         }
-        auto& chunk = g.add<RepeatOp>(nm(name, "chunk"), out_rows, 1);
-        region_outs.push_back(chunk.out());
+        region_outs.push_back(chunkView(g, nm(name, "chunk"), out_rows));
     }
 
     auto& re = g.add<ReassembleOp>("attn.gather", region_outs, gather_sel,

@@ -132,25 +132,28 @@ rebuildReason(const DecoderStructKey& armed, const DecoderStructKey& want)
 
 StreamPort
 buildDenseProj(Graph& g, const std::string& name, StreamPort in_rows,
-               int64_t in_cols, int64_t out_cols, int64_t tile_rows,
-               int64_t weight_tile_cols, int64_t compute_bw,
-               uint64_t weight_base_addr,
-               std::vector<std::pair<OpBase*, int64_t>>* bw_ops)
+               int64_t rows, int64_t in_cols, int64_t out_cols,
+               int64_t tile_rows, int64_t weight_tile_cols,
+               int64_t compute_bw, uint64_t weight_base_addr,
+               DecoderRearmHandles* rearm)
 {
     const int64_t Tc = weight_tile_cols;
     STEP_ASSERT(out_cols % Tc == 0, "dense out_cols must divide by tile");
     const int64_t n_cols = out_cols / Tc;
+    auto record_bw = [&](OpBase& op, int64_t divisor) {
+        if (rearm)
+            rearm->denseBwOps.emplace_back(&op, divisor);
+    };
 
-    auto& flat = g.add<FlattenOp>(nm(name, "flat"), in_rows, 0, 1);
-    auto& rs = g.add<ReshapeOp>(nm(name, "reshape"), flat.out(), 0,
-                                tile_rows,
-                                std::optional<Value>(Tile(1, in_cols)));
-    auto& pk = g.add<AccumOp>(nm(name, "pack"), rs.out(), 1,
+    StreamPort flat =
+        flattenView(g, nm(name, "flat"), std::move(in_rows), 0, 1);
+    StreamPort grouped = regroupView(g, nm(name, "reshape"), flat,
+                                     tile_rows, Value(Tile(1, in_cols)));
+    auto& pk = g.add<AccumOp>(nm(name, "pack"), grouped, 1,
                               fns::retileRowInit(in_cols),
                               fns::retileRowUpdate(), compute_bw / 4,
                               DataType::tile(tile_rows, in_cols));
-    if (bw_ops)
-        bw_ops->emplace_back(&pk, 4);
+    record_bw(pk, 4);
     auto& pbc = g.add<BroadcastOp>(nm(name, "pbc"), pk.out(), 2);
 
     OffChipTensor wt = OffChipTensor::shapeOnly(weight_base_addr, in_cols,
@@ -159,28 +162,30 @@ buildDenseProj(Graph& g, const std::string& name, StreamPort in_rows,
         nm(name, "wload"), pbc.out(1), wt, std::array<int64_t, 2>{n_cols,
                                                                   1},
         std::array<int64_t, 2>{1, n_cols});
-    auto& wfl = g.add<FlattenOp>(nm(name, "wflat"), ld.out(), 0, 1);
+    StreamPort wfl = flattenView(g, nm(name, "wflat"), ld.out(), 0, 1);
     auto& rep = g.add<RepeatOp>(nm(name, "rep"), pbc.out(0), n_cols);
     auto& mm = g.add<MapOp>(
-        nm(name, "mm"), std::vector<StreamPort>{rep.out(), wfl.out()},
+        nm(name, "mm"), std::vector<StreamPort>{rep.out(), wfl},
         fns::matmul(), compute_bw, DataType::tile(tile_rows, Tc));
     mm.setMatmulMemSpec(1);
-    if (bw_ops)
-        bw_ops->emplace_back(&mm, 1);
+    record_bw(mm, 1);
     auto& pc = g.add<AccumOp>(nm(name, "packcol"), mm.out(), 1,
                               fns::retileColInit(0), fns::retileColUpdate(),
                               compute_bw / 4,
                               DataType::tile(tile_rows, out_cols));
-    if (bw_ops)
-        bw_ops->emplace_back(&pc, 4);
+    record_bw(pc, 4);
+    // The row count is known (B, a rearm payload), so the unpack drops
+    // the padded tail rows itself instead of filtering them against a
+    // per-row pad-flag stream.
     auto& fm = g.add<FlatMapOp>(nm(name, "unpack"), pc.out(),
                                 fns::retileStreamify(1),
                                 StreamShape({Dim::ragged()}),
                                 DataType::tile(1, out_cols));
-    auto& fi = g.add<FilterOp>(nm(name, "dropPad"), fm.out(), rs.padOut());
-    auto& fl2 = g.add<FlattenOp>(nm(name, "rows"), fi.out(), 0, 1);
-    auto& ch = g.add<RepeatOp>(nm(name, "chunk"), fl2.out(), 1);
-    return ch.out();
+    fm.setDataLimit(rows);
+    if (rearm)
+        rearm->denseUnpackOps.push_back(&fm);
+    StreamPort out_rows = flattenView(g, nm(name, "rows"), fm.out(), 0, 1);
+    return chunkView(g, nm(name, "chunk"), out_rows);
 }
 
 void
@@ -201,6 +206,7 @@ buildDecoderLayer(Graph& g, const DecoderParams& p,
         // key, validity, and path counters around this call.
         rearm->layerIn = nullptr;
         rearm->denseBwOps.clear();
+        rearm->denseUnpackOps.clear();
         rearm->attn = AttnRearmHandles{};
         rearm->moe = MoeRearmHandles{};
     }
@@ -216,35 +222,31 @@ buildDecoderLayer(Graph& g, const DecoderParams& p,
     const uint64_t wbase = uint64_t{1} << 40;
 
     // ---- QKV projection ---------------------------------------------
-    StreamPort qkv = buildDenseProj(g, "qkv", in_src.out(), H, qkv_cols,
+    StreamPort qkv = buildDenseProj(g, "qkv", in_src.out(), B, H, qkv_cols,
                                     p.denseTile, p.weightTileCols,
-                                    p.computeBwPerMatmul, wbase,
-                                    rearm ? &rearm->denseBwOps : nullptr);
+                                    p.computeBwPerMatmul, wbase, rearm);
     // Slice out the q head group (timing: emits a [1,d] row per token).
     MapFn slice_q = [d](const std::vector<Value>& a, int64_t&) -> Value {
         (void)a;
         return Tile(1, d);
     };
-    auto& qflat = g.add<FlattenOp>("qkv.sliceflat", qkv, 0, 1);
-    auto& qrows = g.add<MapOp>("qkv.sliceq",
-                               std::vector<StreamPort>{qflat.out()},
+    StreamPort qflat = flattenView(g, "qkv.sliceflat", qkv, 0, 1);
+    auto& qrows = g.add<MapOp>("qkv.sliceq", std::vector<StreamPort>{qflat},
                                slice_q, 0, DataType::tile(1, d));
-    auto& qchunk = g.add<RepeatOp>("qkv.qchunk", qrows.out(), 1);
 
     // ---- attention -----------------------------------------------------
     AttnParams ap = attnParamsFor(p, B);
-    StreamPort qport = qchunk.out();
+    StreamPort qport = chunkView(g, "qkv.qchunk", qrows.out());
     AttnBuild ab = buildAttentionLayer(g, ap, kv_lens, nullptr, nullptr,
                                        nullptr, &qport,
                                        rearm ? &rearm->attn : nullptr);
     // [B, 1, 1] -> [B, 1] rows of [1,d].
-    auto& aflat = g.add<FlattenOp>("attn.outflat", ab.out, 0, 1);
+    StreamPort aflat = flattenView(g, "attn.outflat", ab.out, 0, 1);
 
     // ---- output projection back to H ---------------------------------
     StreamPort oproj = buildDenseProj(
-        g, "oproj", aflat.out(), d, H, p.denseTile, p.weightTileCols,
-        p.computeBwPerMatmul, wbase + (uint64_t{1} << 36),
-        rearm ? &rearm->denseBwOps : nullptr);
+        g, "oproj", aflat, B, d, H, p.denseTile, p.weightTileCols,
+        p.computeBwPerMatmul, wbase + (uint64_t{1} << 36), rearm);
 
     // ---- MoE FFN -------------------------------------------------------
     MoeParams mp = moeParamsFor(p, B);
@@ -278,6 +280,10 @@ rearmDecoderLayer(Graph& g, DecoderRearmHandles& h,
         bs.computeBw = p.computeBwPerMatmul / div;
         op->rearm(bs);
     }
+    RearmSpec rows;
+    rows.count = B;
+    for (OpBase* op : h.denseUnpackOps)
+        op->rearm(rows);
     rearmAttentionLayer(h.attn, attnParamsFor(p, B), spec.kvLens);
     rearmMoeLayer(h.moe, moeParamsFor(p, B), spec.trace);
     h.key.batch = B;

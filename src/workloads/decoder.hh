@@ -48,19 +48,23 @@ struct EndToEndResult
     int64_t totalFlops = 0;         ///< summed
 };
 
+struct DecoderRearmHandles;
+
 /**
  * Dense projection block over a row stream: [B,1] of [1,in_cols] ->
- * [B,1] of [1,out_cols]. Used for QKV and attention-output projections.
- * When @p bw_ops is non-null, the operators billed against
- * @p compute_bw are recorded as (op, divisor) pairs for the rearm path.
+ * [B,1] of [1,out_cols], with @p rows == B. Used for QKV and
+ * attention-output projections. Rows are packed into tiles of
+ * @p tile_rows (the last one padded), and the unpack emits only the
+ * @p rows valid rows again. When @p rearm is non-null, the operators
+ * billed against @p compute_bw (denseBwOps) and the B-limited unpack
+ * (denseUnpackOps) are recorded for the rearm path.
  */
 StreamPort buildDenseProj(Graph& g, const std::string& name,
-                          StreamPort in_rows, int64_t in_cols,
-                          int64_t out_cols, int64_t tile_rows,
-                          int64_t weight_tile_cols, int64_t compute_bw,
-                          uint64_t weight_base_addr,
-                          std::vector<std::pair<OpBase*, int64_t>>* bw_ops
-                              = nullptr);
+                          StreamPort in_rows, int64_t rows,
+                          int64_t in_cols, int64_t out_cols,
+                          int64_t tile_rows, int64_t weight_tile_cols,
+                          int64_t compute_bw, uint64_t weight_base_addr,
+                          DecoderRearmHandles* rearm = nullptr);
 
 /**
  * Structural fingerprint of a decoder-layer graph: everything that
@@ -134,6 +138,8 @@ struct DecoderRearmHandles
     SourceOp* layerIn = nullptr;
     /** (op, divisor): rearmed bw = p.computeBwPerMatmul / divisor. */
     std::vector<std::pair<OpBase*, int64_t>> denseBwOps;
+    /** Dense-projection unpacks whose data limit is the batch size. */
+    std::vector<OpBase*> denseUnpackOps;
     AttnRearmHandles attn;
     MoeRearmHandles moe;
     // Path counters (observability for benches and tests).

@@ -152,11 +152,9 @@ expertPipeline(PipelineCtx& ctx, const std::string& name, StreamPort rows,
         auto& fi = g.add<FilterOp>(nm(name, "dropPad"), out_rows, pad);
         out_rows = fi.out();
     }
-    if (out_rows.rank() > r) {
-        auto& fl = g.add<FlattenOp>(nm(name, "flatrows"), out_rows, 0,
-                                    out_rows.rank() - r);
-        out_rows = fl.out();
-    }
+    if (out_rows.rank() > r)
+        out_rows = flattenView(g, nm(name, "flatrows"), out_rows, 0,
+                               out_rows.rank() - r);
     return out_rows;
 }
 
@@ -350,19 +348,15 @@ buildMoeLayer(Graph& g, const MoeParams& p, const ExpertTrace& trace,
                     nm(lname, "load"), trigger, t,
                     std::array<int64_t, 2>{geo.cols / Tc, 1},
                     std::array<int64_t, 2>{1, geo.cols / Tc});
-                auto& fl = g.add<FlattenOp>(nm(lname, "flat"), ld.out(),
-                                            0, 1);
-                return fl.out();
+                return flattenView(g, nm(lname, "flat"), ld.out(), 0, 1);
             };
-            auto& rows_flat = g.add<FlattenOp>(nm(name, "rows"),
-                                               part.out(
-                                                   static_cast<size_t>(e)),
-                                               0, 1);
-            StreamPort out_rows = expertPipeline(ctx, name,
-                                                 rows_flat.out(), loader);
-            auto& chunked = g.add<RepeatOp>(nm(name, "chunk"), out_rows,
-                                            1);
-            expert_rows[static_cast<size_t>(e)] = chunked.out();
+            StreamPort rows_flat = flattenView(
+                g, nm(name, "rows"), part.out(static_cast<size_t>(e)), 0,
+                1);
+            StreamPort out_rows = expertPipeline(ctx, name, rows_flat,
+                                                 loader);
+            expert_rows[static_cast<size_t>(e)] =
+                chunkView(g, nm(name, "chunk"), out_rows);
         }
     } else {
         // Configuration time-multiplexing (Figure 11): each expert keeps
@@ -385,15 +379,15 @@ buildMoeLayer(Graph& g, const MoeParams& p, const ExpertTrace& trace,
                 static_cast<size_t>(experts_per_region));
             for (int64_t k = 0; k < experts_per_region; ++k) {
                 std::string en = nm(name, "e" + std::to_string(k));
-                auto& rows = g.add<FlattenOp>(
-                    nm(en, "rows"), part.out(static_cast<size_t>(e0 + k)),
-                    0, 1);
+                StreamPort rows = flattenView(
+                    g, nm(en, "rows"),
+                    part.out(static_cast<size_t>(e0 + k)), 0, 1);
                 if (p.tiling == Tiling::Static) {
                     Value zero_row = p.functional
                         ? Value(Tile::zeros(1, H))
                         : Value(Tile(1, H));
                     auto& rs = g.add<ReshapeOp>(
-                        nm(en, "reshape"), rows.out(), 0, p.tileRows,
+                        nm(en, "reshape"), rows, 0, p.tileRows,
                         std::optional<Value>(zero_row));
                     auto& pk = g.add<AccumOp>(
                         nm(en, "packrow"), rs.out(), 1,
@@ -405,8 +399,7 @@ buildMoeLayer(Graph& g, const MoeParams& p, const ExpertTrace& trace,
                     packed_streams.push_back(pk.out());
                     pad_streams[static_cast<size_t>(k)] = rs.padOut();
                 } else {
-                    auto& pr = g.add<PromoteOp>(nm(en, "promote"),
-                                                rows.out());
+                    auto& pr = g.add<PromoteOp>(nm(en, "promote"), rows);
                     auto& pk = g.add<AccumOp>(
                         nm(en, "packrow"), pr.out(), 1,
                         fns::retileRowInit(H), fns::retileRowUpdate(),
@@ -447,9 +440,7 @@ buildMoeLayer(Graph& g, const MoeParams& p, const ExpertTrace& trace,
                 auto& ld = g.add<RandomOffChipLoadOp>(
                     nm(lname, "load"), ids, t, geo.rows * geo.cols * 2,
                     std::array<int64_t, 2>{1, geo.cols / Tc}, true);
-                auto& fl = g.add<FlattenOp>(nm(lname, "flat"), ld.out(),
-                                            0, 1);
-                return fl.out();
+                return flattenView(g, nm(lname, "flat"), ld.out(), 0, 1);
             };
             StreamPort w1s = random_loader(nm(name, "w1"), gidbc.out(0),
                                            kW1);
@@ -481,21 +472,19 @@ buildMoeLayer(Graph& g, const MoeParams& p, const ExpertTrace& trace,
                 static_cast<size_t>(experts_per_region));
             for (int64_t k = 0; k < experts_per_region; ++k) {
                 std::string en = nm(name, "oe" + std::to_string(k));
-                auto& fl = g.add<FlattenOp>(
-                    nm(en, "flat"), opart.out(static_cast<size_t>(k)), 0,
+                StreamPort out_rows = flattenView(
+                    g, nm(en, "flat"), opart.out(static_cast<size_t>(k)), 0,
                     1);
-                StreamPort out_rows = fl.out();
                 if (p.tiling == Tiling::Static) {
-                    auto& pfl = g.add<FlattenOp>(
-                        nm(en, "padflat"),
+                    StreamPort pad = flattenView(
+                        g, nm(en, "padflat"),
                         pad_streams[static_cast<size_t>(k)], 0, 1);
-                    auto& fi = g.add<FilterOp>(nm(en, "dropPad"),
-                                               out_rows, pfl.out());
+                    auto& fi = g.add<FilterOp>(nm(en, "dropPad"), out_rows,
+                                               pad);
                     out_rows = fi.out();
                 }
-                auto& chunked = g.add<RepeatOp>(nm(en, "chunk"),
-                                                out_rows, 1);
-                expert_rows[static_cast<size_t>(e0 + k)] = chunked.out();
+                expert_rows[static_cast<size_t>(e0 + k)] =
+                    chunkView(g, nm(en, "chunk"), out_rows);
             }
         }
     }

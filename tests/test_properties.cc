@@ -5,16 +5,20 @@
  * shape inference must agree with the observed token stream — same
  * rank, and equal extents wherever the inferred dimension is static.
  * Also checks stream conservation laws (Partition/Reassemble round
- * trips preserve multisets; EagerMerge preserves chunk contents).
+ * trips preserve multisets; EagerMerge preserves chunk contents), and
+ * that the stream views (shape operators folded into channels) deliver
+ * exactly the token stream of the operators they replace.
  */
 #include <gtest/gtest.h>
 
+#include <regex>
 #include <set>
 
 #include "ops/route.hh"
 #include "ops/shape_ops.hh"
 #include "ops/source_sink.hh"
 #include "support/rng.hh"
+#include "verify/verifier.hh"
 
 #include "helpers.hh"
 
@@ -150,6 +154,162 @@ TEST_P(ShapeInference, PipelineShapesMatchObservedStreams)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShapeInference,
                          ::testing::Range<uint64_t>(1, 41));
+
+/**
+ * Random nested tensor whose innermost groups hold multiples of
+ * @p inner elements (0, 1 or 2 of them, so empty groups occur) and
+ * whose outer groups have 0-3 children.
+ */
+Nested
+randomNestedMultiple(Rng& rng, size_t rank, size_t level, int64_t inner,
+                     float& counter)
+{
+    if (level == rank)
+        return Nested(test::val(counter++));
+    const bool innermost = level + 1 == rank;
+    const auto n = innermost
+        ? inner * static_cast<int64_t>(rng.uniformInt(3))
+        : static_cast<int64_t>(rng.uniformInt(4));
+    std::vector<Nested> kids;
+    for (int64_t i = 0; i < n; ++i)
+        kids.push_back(
+            randomNestedMultiple(rng, rank, level + 1, inner, counter));
+    return Nested::list(std::move(kids));
+}
+
+/** One step of a random stop-level shape-op chain. */
+struct ViewStep
+{
+    enum class Kind { Flatten, Chunk, Regroup } kind;
+    size_t hi = 0;      ///< Flatten(0, hi)
+    int64_t chunk = 1;  ///< Regroup
+    bool pad = false;   ///< Regroup with a pad value
+};
+
+/** Shape rendering without the per-build ids of ragged dims. */
+std::string
+shapeKey(const StreamShape& s)
+{
+    static const std::regex ragged_id("R[0-9]+~");
+    return std::regex_replace(s.toString(), ragged_id, "R~");
+}
+
+struct ViewRun
+{
+    std::vector<std::string> tokens;
+    std::string shape;
+    std::string verifyText;
+    size_t errors = 0;
+    size_t ops = 0;
+};
+
+ViewRun
+runViewChain(const std::vector<Token>& input, size_t rank,
+             const std::vector<ViewStep>& steps, bool chains)
+{
+    // Deep FIFOs: every operator of the chain drains its whole input in
+    // one resume, so its coalescers see each next token queued.
+    SimConfig sc;
+    sc.channelCapacity = 4096;
+    Graph g(sc);
+    g.setShapeOpChains(chains);
+    DimVec dims;
+    for (size_t i = 0; i < rank; ++i)
+        dims.push_back(Dim::ragged());
+    StreamPort cur = g.add<SourceOp>("src", input, StreamShape(dims),
+                                     scalarTile()).out();
+    for (size_t i = 0; i < steps.size(); ++i) {
+        const ViewStep& st = steps[i];
+        const std::string name = "v" + std::to_string(i);
+        switch (st.kind) {
+          case ViewStep::Kind::Flatten:
+            cur = flattenView(g, name, cur, 0, st.hi);
+            break;
+          case ViewStep::Kind::Chunk:
+            cur = chunkView(g, name, cur);
+            break;
+          case ViewStep::Kind::Regroup:
+            cur = regroupView(g, name, cur, st.chunk,
+                              st.pad ? std::optional<Value>(test::val(-1))
+                                     : std::nullopt);
+            break;
+        }
+    }
+    auto& sink = g.add<SinkOp>("sink", cur, true);
+    const verify::VerifyReport report = g.verify(verify::VerifyOptions{});
+    ViewRun r;
+    r.shape = shapeKey(cur.shape);
+    r.verifyText = report.toText();
+    r.errors = report.errors();
+    r.ops = g.ops().size();
+    (void)g.run();
+    for (const Token& t : sink.tokens())
+        r.tokens.push_back(t.toString());
+    if (!chains) {
+        const dam::Channel& ch = *cur.ch;
+        EXPECT_EQ(shapeKey(viewedShape(ch, StreamShape(dims))), r.shape);
+    }
+    return r;
+}
+
+class ViewOracle : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ViewOracle, FoldedChainDeliversTheOperatorChainsTokens)
+{
+    Rng rng(GetParam() * 7919 + 17);
+    const size_t rank = 1 + rng.uniformInt(3);
+    // Every innermost group size is a multiple of `inner`, so pad-free
+    // regroups by a divisor of it are valid.
+    int64_t inner = 1 + static_cast<int64_t>(rng.uniformInt(3));
+    float counter = 1.0f;
+    const Nested n = randomNestedMultiple(rng, rank, 0, inner, counter);
+    const std::vector<Token> input = encodeNested(n, rank);
+
+    std::vector<ViewStep> steps;
+    size_t cur_rank = rank;
+    const size_t n_steps = 1 + rng.uniformInt(4);
+    for (size_t i = 0; i < n_steps; ++i) {
+        ViewStep st{};
+        const uint64_t pick = rng.uniformInt(3);
+        if (pick == 0 && cur_rank >= 2) {
+            st.kind = ViewStep::Kind::Flatten;
+            st.hi = 1 + rng.uniformInt(cur_rank - 1);
+            cur_rank -= st.hi;
+        } else if (pick == 1) {
+            st.kind = ViewStep::Kind::Chunk;
+            ++cur_rank;
+            inner = 1;
+        } else {
+            st.kind = ViewStep::Kind::Regroup;
+            st.pad = rng.uniformInt(2) == 0;
+            if (st.pad) {
+                st.chunk = 1 + static_cast<int64_t>(rng.uniformInt(3));
+            } else {
+                std::vector<int64_t> divisors;
+                for (int64_t c = 1; c <= inner; ++c)
+                    if (inner % c == 0)
+                        divisors.push_back(c);
+                st.chunk = divisors[rng.uniformInt(divisors.size())];
+            }
+            ++cur_rank;
+            inner = st.chunk;
+        }
+        steps.push_back(st);
+    }
+
+    const ViewRun ops = runViewChain(input, rank, steps, true);
+    const ViewRun views = runViewChain(input, rank, steps, false);
+    EXPECT_EQ(views.tokens, ops.tokens);
+    EXPECT_EQ(views.shape, ops.shape);
+    EXPECT_EQ(ops.errors, 0u) << ops.verifyText;
+    EXPECT_EQ(views.errors, 0u) << views.verifyText;
+    // Folding creates no operator: only the source and the sink remain.
+    EXPECT_EQ(views.ops, 2u);
+    EXPECT_EQ(ops.ops, 2u + steps.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ViewOracle,
+                         ::testing::Range<uint64_t>(1, 61));
 
 class RoutingConservation : public ::testing::TestWithParam<uint64_t> {};
 
