@@ -15,7 +15,9 @@ Checks, in order:
   4. B/E spans balance per track (never closing an unopened span,
      nothing left open at the end);
   5. X (complete) events have a non-negative duration;
-  6. the stream contains at least one event beyond metadata.
+  6. C (counter) events carry an integer, non-negative args.value (the
+     determinism contract exports integers only);
+  7. the stream contains at least one event beyond metadata.
 
 If a REQUESTS.jsonl is given, each line must parse as JSON and carry a
 consistent lifecycle: arrival <= admitted <= first_token <= finished
@@ -126,7 +128,14 @@ def check_trace(path):
                     )
                 down[e["pid"]] = False
         elif ph == "C":
-            pass
+            value = e.get("args", {}).get("value")
+            # bool is an int subclass in Python; JSON true is not a count.
+            if (not isinstance(value, int) or isinstance(value, bool)
+                    or value < 0):
+                fail(
+                    f"event {i} (C '{e['name']}') needs an integer, "
+                    f"non-negative args.value: {e}"
+                )
         else:
             fail(f"event {i} has unknown phase '{ph}'")
 

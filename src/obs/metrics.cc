@@ -1,5 +1,6 @@
 #include "obs/metrics.hh"
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <ostream>
@@ -47,6 +48,7 @@ MetricsRegistry::record(Handle h, dam::Cycle at, uint64_t value)
     if (ins.isHistogram)
         ins.total.record(value);
     ins.series.record(at, value);
+    ins.last = value;
 }
 
 const MetricsRegistry::Instrument*
@@ -66,7 +68,35 @@ MetricsRegistry::mergeFrom(const MetricsRegistry& o)
         const Handle h = ensure(src.name, src.isHistogram);
         instruments_[h].total.merge(src.total);
         instruments_[h].series.merge(src.series);
+        instruments_[h].last = std::max(instruments_[h].last, src.last);
     }
+}
+
+int64_t
+counterValue(const MetricsRegistry& reg, const CounterView& v)
+{
+    const MetricsRegistry::Instrument& ins = reg.at(v.instrument);
+    switch (v.stat) {
+      case CounterStat::Last:
+        return static_cast<int64_t>(ins.last);
+      case CounterStat::Count:
+        return static_cast<int64_t>(ins.series.total().count);
+      case CounterStat::Sum:
+        return static_cast<int64_t>(ins.series.total().sum);
+    }
+    return 0;
+}
+
+std::vector<CounterSample>
+snapshotCounters(const MetricsRegistry& reg,
+                 std::span<const CounterView> views)
+{
+    std::vector<CounterSample> out;
+    out.reserve(views.size());
+    for (const CounterView& v : views)
+        out.push_back({std::string(v.name), counterValue(reg, v),
+                       v.monotonic()});
+    return out;
 }
 
 namespace {

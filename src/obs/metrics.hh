@@ -18,11 +18,17 @@
  * Registration order is the export order; every replica registers the
  * same instruments in the same order, so the merge is a positionless
  * name-keyed fold that still produces byte-stable output.
+ *
+ * Counters are views, not a second store: a CounterView names one
+ * statistic (last sample, sample count or sample sum) of one
+ * instrument. The trace's counter track and ServingSummary::counters
+ * both read the registry through such views.
  */
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -62,6 +68,7 @@ class MetricsRegistry
         bool isHistogram = false;
         LogHistogram total; ///< run-level buckets (histogram kind only)
         TimeSeries series;
+        uint64_t last = 0; ///< most recent sample (0 before any)
 
         Instrument(std::string n, bool hist, dam::Cycle window)
             : name(std::move(n)), isHistogram(hist),
@@ -80,7 +87,9 @@ class MetricsRegistry
     /**
      * Fold @p o into this registry: instruments match by name (new
      * names append in @p o's registration order), histograms and
-     * window series merge elementwise. Window widths must match.
+     * window series merge elementwise, and the last sample takes the
+     * max (the gauge merge of ServingSummary::counters). Window widths
+     * must match.
      */
     void mergeFrom(const MetricsRegistry& o);
 
@@ -90,6 +99,39 @@ class MetricsRegistry
     MetricsConfig cfg_;
     std::vector<Instrument> instruments_;
 };
+
+/** Final value of one counter, as snapshotted into ServingSummary. */
+struct CounterSample
+{
+    std::string name;
+    int64_t value = 0;
+    bool monotonic = false;
+};
+
+/** The statistic a counter reads off its instrument. */
+enum class CounterStat : uint8_t
+{
+    Last,  ///< gauge: the most recent sample
+    Count, ///< monotonic: the number of samples
+    Sum,   ///< monotonic: the sum of the samples
+};
+
+/** A named counter: one statistic of one registry instrument. */
+struct CounterView
+{
+    std::string_view name;
+    MetricsRegistry::Handle instrument = 0;
+    CounterStat stat = CounterStat::Last;
+
+    bool monotonic() const { return stat != CounterStat::Last; }
+};
+
+/** Current value of @p v over @p reg. */
+int64_t counterValue(const MetricsRegistry& reg, const CounterView& v);
+
+/** Current value of every view, in view order. */
+std::vector<CounterSample> snapshotCounters(const MetricsRegistry& reg,
+                                            std::span<const CounterView> views);
 
 /**
  * Write the schema-v2 metrics artifact: one "replicas" entry per

@@ -429,22 +429,28 @@ TraceSink::faultUp(dam::Cycle at)
 }
 
 void
-TraceSink::sampleCounters(dam::Cycle at)
+TraceSink::sampleCounters(dam::Cycle at, const MetricsRegistry& reg,
+                          std::span<const CounterView> views)
 {
     if (opts_.level < TraceLevel::Request)
         return;
-    while (counterNameIds_.size() < counters_.size())
-        counterNameIds_.push_back(
-            intern(counters_.name(counterNameIds_.size())));
-    for (size_t i = 0; i < counters_.size(); ++i) {
-        if (!counters_.consumeChanged(i))
+    // A new track emits its first value unconditionally.
+    const size_t first_new = counterTracks_.size();
+    while (counterTracks_.size() < views.size())
+        counterTracks_.push_back(
+            {intern(views[counterTracks_.size()].name), 0});
+    for (size_t i = 0; i < views.size(); ++i) {
+        const int64_t v = counterValue(reg, views[i]);
+        CounterTrack& t = counterTracks_[i];
+        if (i < first_new && t.lastEmitted == v)
             continue;
+        t.lastEmitted = v;
         TraceEvent e;
         e.ts = at;
-        e.name = counterNameIds_[i];
+        e.name = t.name;
         e.kind = EventKind::Counter;
         e.tid = kTidLifecycle;
-        e.arg0 = counters_.value(i);
+        e.arg0 = v;
         append(e);
     }
 }

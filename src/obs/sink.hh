@@ -8,22 +8,25 @@
  * trace bit-identical whatever the worker-thread count.
  *
  * Storage is a bounded ring of fixed-size, string-free events (names
- * are interned ids); per-request lifecycle records and the counter
- * registry live outside the ring so they survive even when a long run
- * wraps it. Per-track B/E/i/C timestamps are clamped monotone at append
- * time (deterministically), so exported tracks always satisfy the
+ * are interned ids); per-request lifecycle records live outside the
+ * ring so they survive even when a long run wraps it. Counter values
+ * are not stored here: the sink samples views of the engine's
+ * MetricsRegistry and keeps only each track's last-emitted value.
+ * Per-track B/E/i/C timestamps are clamped monotone at append time
+ * (deterministically), so exported tracks always satisfy the
  * trace-validator contract.
  */
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
-#include "obs/counters.hh"
+#include "obs/metrics.hh"
 #include "obs/trace.hh"
 
 namespace step::dam {
@@ -150,10 +153,15 @@ class TraceSink
     void faultUp(dam::Cycle at);
 
     // ---- counters ----------------------------------------------------
-    CounterRegistry& counters() { return counters_; }
-    const CounterRegistry& counters() const { return counters_; }
-    /** Emit a Counter event for every counter whose value changed. */
-    void sampleCounters(dam::Cycle at);
+    /**
+     * Emit a Counter event for every view of @p reg whose value differs
+     * from its last emitted sample (or was never emitted). Sampling
+     * only transitions keeps counter tracks small without losing any
+     * level change. Track i belongs to views[i], so every call passes
+     * the same views in the same order.
+     */
+    void sampleCounters(dam::Cycle at, const MetricsRegistry& reg,
+                        std::span<const CounterView> views);
 
     // ---- export access ----------------------------------------------
     /** Visit the events surviving in the ring, oldest first. */
@@ -228,8 +236,13 @@ class TraceSink
     }
     std::unordered_map<uint64_t, size_t> reqIndex_;
 
-    CounterRegistry counters_;
-    std::vector<uint32_t> counterNameIds_; ///< lazily interned
+    /** Sample-on-change state of one counter track. */
+    struct CounterTrack
+    {
+        uint32_t name = 0;
+        int64_t lastEmitted = 0;
+    };
+    std::vector<CounterTrack> counterTracks_; ///< grown on first sample
 
     /** Op-name switch counts, first-seen order for determinism. */
     std::vector<std::pair<uint32_t, uint64_t>> switchCounts_;

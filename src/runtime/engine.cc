@@ -1,7 +1,9 @@
 #include "runtime/engine.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <optional>
 
 #include "obs/metrics.hh"
 #include "obs/sink.hh"
@@ -17,74 +19,20 @@ namespace {
 /** Hard bound against a non-progressing configuration. */
 constexpr int64_t kMaxIterations = 1'000'000;
 
-/** Handles into the sink's CounterRegistry, resolved once per run. */
-struct EngineCounters
-{
-    obs::CounterRegistry::Handle queueDepth, runningRequests, decodeBatch,
-        kvReservedBytes, prefixCacheTokens, iterations, prefillTokens,
-        generatedTokens, contextSwitches;
-
-    explicit EngineCounters(obs::CounterRegistry& c)
-        : queueDepth(c.gauge("queue_depth")),
-          runningRequests(c.gauge("running_requests")),
-          decodeBatch(c.gauge("decode_batch")),
-          kvReservedBytes(c.gauge("kv_reserved_bytes")),
-          prefixCacheTokens(c.gauge("prefix_cache_tokens")),
-          iterations(c.monotonic("iterations")),
-          prefillTokens(c.monotonic("prefill_tokens")),
-          generatedTokens(c.monotonic("generated_tokens")),
-          contextSwitches(c.monotonic("context_switches"))
-    {}
-};
-
 /**
- * Fault-tier counters, registered only when the run can actually use
- * them (faults, an admission policy, or deadlines present) — a
- * fault-free, deadline-less traced run keeps its counter set, and so
- * its exported bytes, identical to earlier builds.
- */
-struct FaultCounters
-{
-    obs::CounterRegistry::Handle requestsFailed, requestsRetried,
-        requestsShed, deadlineMisses, replicaFaults;
-
-    explicit FaultCounters(obs::CounterRegistry& c)
-        : requestsFailed(c.monotonic("requests_failed")),
-          requestsRetried(c.monotonic("requests_retried")),
-          requestsShed(c.monotonic("requests_shed")),
-          deadlineMisses(c.monotonic("deadline_misses")),
-          replicaFaults(c.monotonic("replica_faults"))
-    {}
-};
-
-/**
- * Resilience-tier counters, registered only when the tier is active on
- * this replica (slowdown drain enabled or cluster instants present) —
- * the FaultCounters pattern, so resilience-free runs keep their counter
- * set, and their exported bytes, unchanged.
- */
-struct ResilienceCounters
-{
-    obs::CounterRegistry::Handle requestsMigrated, requestsCapped;
-
-    explicit ResilienceCounters(obs::CounterRegistry& c)
-        : requestsMigrated(c.monotonic("requests_migrated")),
-          requestsCapped(c.monotonic("requests_capped"))
-    {}
-};
-
-/**
- * Handles into the attached MetricsRegistry, resolved once per run.
- * Two latency histograms (windowed percentile signal for the SLO
- * monitor and the telemetry health monitor) plus window-aggregate
- * series for lifecycle events and per-iteration gauges.
+ * Handles into the run's MetricsRegistry, resolved once per run: every
+ * quantity the engine observes is recorded here exactly once. Two
+ * latency histograms (windowed percentile signal for the SLO monitor
+ * and the telemetry health monitor) plus window-aggregate series for
+ * lifecycle events and per-iteration gauges.
  */
 struct MetricsInstruments
 {
     obs::MetricsRegistry::Handle ttft, tpot, finished, failed, shed,
         migrated, deadlineMisses, sloGoodTokens, queueDepth,
         runningRequests, decodeBatch, kvReservedBytes, generatedTokens,
-        prefillTokens, iterCycles;
+        prefillTokens, iterCycles, contextSwitches, prefixCacheTokens,
+        retried, replicaFaults, capped;
 
     explicit MetricsInstruments(obs::MetricsRegistry& m)
         : ttft(m.histogram("ttft_cycles")),
@@ -101,9 +49,61 @@ struct MetricsInstruments
           kvReservedBytes(m.series("kv_reserved_bytes")),
           generatedTokens(m.series("generated_tokens")),
           prefillTokens(m.series("prefill_tokens")),
-          iterCycles(m.series("iter_cycles"))
+          iterCycles(m.series("iter_cycles")),
+          contextSwitches(m.series("context_switches")),
+          prefixCacheTokens(m.series("prefix_cache_tokens")),
+          retried(m.series("requests_retried")),
+          replicaFaults(m.series("replica_faults")),
+          capped(m.series("requests_capped"))
     {}
 };
+
+/** One engine counter: a statistic of one MetricsInstruments entry. */
+struct CounterDef
+{
+    std::string_view name;
+    obs::MetricsRegistry::Handle MetricsInstruments::*instrument;
+    obs::CounterStat stat;
+};
+
+/**
+ * The engine's counters, in trace and summary order. The trace's
+ * counter track and ServingSummary::counters are both views of this
+ * table over the run's registry. requests_migrated counts migrations
+ * (its instrument's samples carry the handed-off KV tokens).
+ */
+using MI = MetricsInstruments;
+using enum obs::CounterStat;
+constexpr CounterDef kCounters[] = {
+    {"queue_depth", &MI::queueDepth, Last},
+    {"running_requests", &MI::runningRequests, Last},
+    {"decode_batch", &MI::decodeBatch, Last},
+    {"kv_reserved_bytes", &MI::kvReservedBytes, Last},
+    {"prefix_cache_tokens", &MI::prefixCacheTokens, Last},
+    {"iterations", &MI::iterCycles, Count},
+    {"prefill_tokens", &MI::prefillTokens, Sum},
+    {"generated_tokens", &MI::generatedTokens, Sum},
+    {"context_switches", &MI::contextSwitches, Sum},
+    {"requests_failed", &MI::failed, Count},
+    {"requests_retried", &MI::retried, Count},
+    {"requests_shed", &MI::shed, Count},
+    {"deadline_misses", &MI::deadlineMisses, Count},
+    {"replica_faults", &MI::replicaFaults, Count},
+    {"requests_migrated", &MI::migrated, Count},
+    {"requests_capped", &MI::capped, Count},
+};
+
+using CounterViews = std::array<obs::CounterView, std::size(kCounters)>;
+
+CounterViews
+counterViews(const MetricsInstruments& mtr)
+{
+    CounterViews views;
+    for (size_t i = 0; i < views.size(); ++i)
+        views[i] = {kCounters[i].name, mtr.*kCounters[i].instrument,
+                    kCounters[i].stat};
+    return views;
+}
 
 } // namespace
 
@@ -168,25 +168,23 @@ ServingEngine::run(std::vector<Request>& reqs)
     sched_.setTraceSink(trace_ && trace_->level() >= obs::TraceLevel::Op
                             ? trace_
                             : nullptr);
-    std::unique_ptr<EngineCounters> ctr;
-    if (trace_)
-        ctr = std::make_unique<EngineCounters>(trace_->counters());
-    std::unique_ptr<MetricsInstruments> mtr;
-    if (metrics_)
-        mtr = std::make_unique<MetricsInstruments>(*metrics_);
+    // Every quantity is recorded once, into the caller's registry or,
+    // when only a trace is attached, a run-local one the trace's
+    // counter track reads.
+    std::optional<obs::MetricsRegistry> run_metrics;
+    obs::MetricsRegistry* metrics = metrics_;
+    if (!metrics && trace_)
+        metrics = &run_metrics.emplace();
+    std::optional<MetricsInstruments> mtr;
+    CounterViews views{};
+    if (metrics) {
+        mtr.emplace(*metrics);
+        views = counterViews(*mtr);
+    }
 
     // ---- fault tier ---------------------------------------------------
     const ReplicaFaultTimeline& faults = cfg_.faults;
     const bool have_faults = !faults.empty();
-    bool have_deadlines = false;
-    for (const Request& r : reqs)
-        if (r.deadlineAt != 0) {
-            have_deadlines = true;
-            break;
-        }
-    std::unique_ptr<FaultCounters> fctr;
-    if (trace_ && (have_faults || cfg_.admission || have_deadlines))
-        fctr = std::make_unique<FaultCounters>(trace_->counters());
     // Stats of caches dropped by crashes, folded into the summary tail.
     PrefixCacheStats lostCacheStats;
 
@@ -203,9 +201,6 @@ ServingEngine::run(std::vector<Request>& reqs)
                 drain_edges.push_back(s.start + cfg_.drain.detectCycles);
     size_t drain_idx = 0;
     size_t instant_idx = 0; ///< next cfg_.clusterInstants to emit
-    std::unique_ptr<ResilienceCounters> rctr;
-    if (trace_ && (cfg_.drain.enabled || !cfg_.clusterInstants.empty()))
-        rctr = std::make_unique<ResilienceCounters>(trace_->counters());
 
     // Request completion: cache the full prompt+output stream (the next
     // turn of the session prefixes it), drop the admission pin, free the
@@ -221,22 +216,19 @@ ServingEngine::run(std::vector<Request>& reqs)
         }
         batcher.release(r);
         ++terminal;
-        if (trace_) [[unlikely]] {
+        if (trace_) [[unlikely]]
             trace_->reqFinished(r->id, r->attempt, at);
-            if (fctr && r->deadlineAt != 0 && at > r->deadlineAt)
-                trace_->counters().add(fctr->deadlineMisses, 1);
-        }
         if (mtr) [[unlikely]] {
-            metrics_->record(mtr->finished, at, 1);
+            metrics->record(mtr->finished, at, 1);
             if (r->outputLen > 1)
-                metrics_->record(
+                metrics->record(
                     mtr->tpot, at,
                     static_cast<uint64_t>(std::llround(tpot(*r))));
             if (r->deadlineAt != 0 && at > r->deadlineAt)
-                metrics_->record(mtr->deadlineMisses, at, 1);
+                metrics->record(mtr->deadlineMisses, at, 1);
             if (cfg_.slo.meets(*r))
-                metrics_->record(mtr->sloGoodTokens, at,
-                                 static_cast<uint64_t>(r->generated));
+                metrics->record(mtr->sloGoodTokens, at,
+                                static_cast<uint64_t>(r->generated));
         }
     };
     // Terminal failure (replica crash): KV/cache bookkeeping is the
@@ -245,13 +237,10 @@ ServingEngine::run(std::vector<Request>& reqs)
         r->state = ReqState::Failed;
         r->finishedAt = at;
         ++terminal;
-        if (trace_) [[unlikely]] {
+        if (trace_) [[unlikely]]
             trace_->reqFailed(r->id, r->attempt, at);
-            if (fctr)
-                trace_->counters().add(fctr->requestsFailed, 1);
-        }
         if (mtr) [[unlikely]]
-            metrics_->record(mtr->failed, at, 1);
+            metrics->record(mtr->failed, at, 1);
     };
     // Live migration exit: the incarnation ends here carrying
     // @p kv_tokens of computed KV for the handoff; the cluster turns it
@@ -261,14 +250,11 @@ ServingEngine::run(std::vector<Request>& reqs)
         r->state = ReqState::Migrated;
         r->finishedAt = at;
         ++terminal;
-        if (trace_) [[unlikely]] {
+        if (trace_) [[unlikely]]
             trace_->reqMigrated(r->id, r->attempt, at, kv_tokens);
-            if (rctr)
-                trace_->counters().add(rctr->requestsMigrated, 1);
-        }
         if (mtr) [[unlikely]]
-            metrics_->record(mtr->migrated, at,
-                             static_cast<uint64_t>(kv_tokens));
+            metrics->record(mtr->migrated, at,
+                            static_cast<uint64_t>(kv_tokens));
     };
 
     // Iteration-graph parameters shared across iterations; the per-
@@ -387,13 +373,12 @@ ServingEngine::run(std::vector<Request>& reqs)
                 (!has_crash || reqs[next_arrival].arrival <=
                                    faults.downs[down_idx].failAt)) {
                 Request& r = reqs[next_arrival++];
-                if (trace_) [[unlikely]] {
+                if (trace_) [[unlikely]]
                     trace_->reqArrived(r.id, r.sessionId, r.turn,
                                        r.promptLen, r.outputLen, r.arrival,
                                        r.attempt);
-                    if (fctr && r.attempt > 0)
-                        trace_->counters().add(fctr->requestsRetried, 1);
-                }
+                if (mtr && r.attempt > 0) [[unlikely]]
+                    metrics->record(mtr->retried, r.arrival, 1);
                 if (have_faults && faults.downAt(r.arrival)) {
                     // Connection refused: the replica was down when the
                     // request arrived.
@@ -406,11 +391,10 @@ ServingEngine::run(std::vector<Request>& reqs)
             if (has_crash) {
                 const ReplicaFaultTimeline::Down w =
                     faults.downs[down_idx++];
-                if (trace_) [[unlikely]] {
+                if (trace_) [[unlikely]]
                     trace_->faultDown(now, w.failAt, w.recoverAt);
-                    if (fctr)
-                        trace_->counters().add(fctr->replicaFaults, 1);
-                }
+                if (mtr) [[unlikely]]
+                    metrics->record(mtr->replicaFaults, now, 1);
                 // Everything in flight or queued dies with the replica;
                 // KV reservations and cache pins are torn down wholesale
                 // (the invariant checks below catch any leak).
@@ -505,23 +489,20 @@ ServingEngine::run(std::vector<Request>& reqs)
         for (Request* r : adm.shed) {
             r->finishedAt = now;
             ++terminal;
-            if (trace_) [[unlikely]] {
+            if (trace_) [[unlikely]]
                 trace_->reqShed(r->id, r->attempt, now);
-                if (fctr)
-                    trace_->counters().add(fctr->requestsShed, 1);
-            }
             if (mtr) [[unlikely]]
-                metrics_->record(mtr->shed, now, 1);
+                metrics->record(mtr->shed, now, 1);
         }
         if (trace_) [[unlikely]] {
             for (const Request* r : adm.admitted)
                 trace_->reqAdmitted(r->id, r->attempt, r->cachedPrefixTokens, now);
-            for (const Request* r : adm.capped) {
+            for (const Request* r : adm.capped)
                 trace_->reqCapped(r->id, now, r->outputLen);
-                if (rctr)
-                    trace_->counters().add(rctr->requestsCapped, 1);
-            }
         }
+        if (mtr) [[unlikely]]
+            for (size_t i = 0; i < adm.capped.size(); ++i)
+                metrics->record(mtr->capped, now, 1);
 
         if (batcher.running().empty()) {
             if (batcher.waitingCount() > 0) {
@@ -561,6 +542,7 @@ ServingEngine::run(std::vector<Request>& reqs)
         // ---- iteration length ---------------------------------------
         dam::Cycle iter_cycles = 0;
         int64_t decode_flops = 0;
+        uint64_t context_switches = 0;
         if (!decodes.empty()) {
             // One decode step for the whole batch: a decoder-layer pass
             // over the current composition, simulated on the substrate.
@@ -594,10 +576,7 @@ ServingEngine::run(std::vector<Request>& reqs)
             iter_cycles = sim.cycles * static_cast<dam::Cycle>(
                 cfg_.numLayers);
             decode_flops = sim.totalFlops * cfg_.numLayers;
-            if (ctr) [[unlikely]]
-                trace_->counters().add(
-                    ctr->contextSwitches,
-                    static_cast<int64_t>(sim.contextSwitches));
+            context_switches = sim.contextSwitches;
         } else {
             // Prefill-only iteration: run until the head request's
             // prompt completes, but wake up for the next arrival.
@@ -681,8 +660,8 @@ ServingEngine::run(std::vector<Request>& reqs)
                 if (trace_) [[unlikely]]
                     trace_->reqFirstToken(r->id, r->attempt, r->firstTokenAt);
                 if (mtr) [[unlikely]]
-                    metrics_->record(mtr->ttft, r->firstTokenAt,
-                                     r->firstTokenAt - r->arrival);
+                    metrics->record(mtr->ttft, r->firstTokenAt,
+                                    r->firstTokenAt - r->arrival);
                 // The completed prompt prefix becomes cacheable for the
                 // session's (or any prefix-sharing) next request.
                 if (cache)
@@ -714,40 +693,31 @@ ServingEngine::run(std::vector<Request>& reqs)
 
         now += iter_cycles;
 
-        if (ctr) [[unlikely]] {
-            obs::CounterRegistry& c = trace_->counters();
-            c.set(ctr->queueDepth, batcher.waitingCount());
-            c.set(ctr->runningRequests,
-                  static_cast<int64_t>(batcher.running().size()));
-            c.set(ctr->decodeBatch, sample.decodeBatch);
-            c.set(ctr->kvReservedBytes, batcher.kvBytesReserved());
+        if (mtr) [[unlikely]] {
+            metrics->record(mtr->queueDepth, now,
+                            static_cast<uint64_t>(batcher.waitingCount()));
+            metrics->record(mtr->runningRequests, now,
+                            batcher.running().size());
+            metrics->record(mtr->decodeBatch, now,
+                            static_cast<uint64_t>(sample.decodeBatch));
+            metrics->record(mtr->kvReservedBytes, now,
+                            static_cast<uint64_t>(
+                                batcher.kvBytesReserved()));
             if (cache)
-                c.set(ctr->prefixCacheTokens, cache->occupancyTokens());
-            c.add(ctr->iterations, 1);
-            c.add(ctr->prefillTokens, prefilled_tokens);
+                metrics->record(mtr->prefixCacheTokens, now,
+                                static_cast<uint64_t>(
+                                    cache->occupancyTokens()));
             // Every decode emits one token; prefill completions emit
             // their first token inside this iteration too.
-            c.add(ctr->generatedTokens,
-                  static_cast<int64_t>(decodes.size()) + first_tokens);
-            trace_->sampleCounters(now);
-        }
-        if (mtr) [[unlikely]] {
-            metrics_->record(mtr->queueDepth, now,
-                             static_cast<uint64_t>(
-                                 batcher.waitingCount()));
-            metrics_->record(mtr->runningRequests, now,
-                             batcher.running().size());
-            metrics_->record(mtr->decodeBatch, now,
-                             static_cast<uint64_t>(sample.decodeBatch));
-            metrics_->record(mtr->kvReservedBytes, now,
-                             static_cast<uint64_t>(
-                                 batcher.kvBytesReserved()));
-            metrics_->record(mtr->generatedTokens, now,
-                             decodes.size() +
-                                 static_cast<uint64_t>(first_tokens));
-            metrics_->record(mtr->prefillTokens, now,
-                             static_cast<uint64_t>(prefilled_tokens));
-            metrics_->record(mtr->iterCycles, now, iter_cycles);
+            metrics->record(mtr->generatedTokens, now,
+                            decodes.size() +
+                                static_cast<uint64_t>(first_tokens));
+            metrics->record(mtr->prefillTokens, now,
+                            static_cast<uint64_t>(prefilled_tokens));
+            metrics->record(mtr->iterCycles, now, iter_cycles);
+            metrics->record(mtr->contextSwitches, now, context_switches);
+            if (trace_)
+                trace_->sampleCounters(now, *metrics, views);
         }
     }
 
@@ -789,7 +759,7 @@ ServingEngine::run(std::vector<Request>& reqs)
         refreshPrefixDerivedStats(res.summary);
     }
     if (trace_)
-        res.summary.counters = trace_->counters().snapshot();
+        res.summary.counters = obs::snapshotCounters(*metrics, views);
     if (metrics_)
         applySloWindows(res.summary, *metrics_, cfg_.slo);
     return res;

@@ -183,11 +183,12 @@ class ServingEngine
 
     /**
      * Attach (or detach, with nullptr) a trace sink. run() then reports
-     * request lifecycle instants and samples the counter registry each
-     * iteration, and — at level >= Op — forwards the iteration graphs'
-     * scheduler events with the engine clock as time base. The sink
-     * must outlive the engine's runs; with none attached the only cost
-     * is one predicted branch per hook site.
+     * request lifecycle instants and samples the engine's counters (views
+     * of the metrics registry, a run-local one when none is attached)
+     * each iteration, and — at level >= Op — forwards the iteration
+     * graphs' scheduler events with the engine clock as time base. The
+     * sink must outlive the engine's runs; with none attached the only
+     * cost is one predicted branch per hook site.
      */
     void attachTrace(obs::TraceSink* sink) { trace_ = sink; }
     obs::TraceSink* trace() const { return trace_; }

@@ -11,12 +11,8 @@
 #include <vector>
 
 #include "dam/task.hh"
-#include "obs/counters.hh"
+#include "obs/metrics.hh"
 #include "runtime/request.hh"
-
-namespace step::obs {
-class MetricsRegistry;
-}
 
 namespace step::runtime {
 
@@ -132,9 +128,11 @@ struct ServingSummary
     std::vector<double> tpotSamples;
 
     /**
-     * Final telemetry counter values snapshotted from the engine's
-     * CounterRegistry (empty when tracing is off). Merged across
-     * replicas by name: monotonic counters sum, gauges take the max.
+     * Final telemetry counter values: the engine's counter table read
+     * off its MetricsRegistry, in table order. Filled only when a trace
+     * is attached, so untraced output carries no counters line. Merged
+     * across replicas by name: monotonic counters sum, gauges take the
+     * max.
      */
     std::vector<obs::CounterSample> counters;
 };

@@ -111,38 +111,39 @@ TEST(ObsTrace, JsonEscaping)
     EXPECT_EQ(jsonEscape(std::string_view("\x01", 1)), "\\u0001");
 }
 
-TEST(ObsCounters, RegistrationIsIdempotentAndTyped)
-{
-    CounterRegistry reg;
-    auto h1 = reg.monotonic("tokens");
-    auto h2 = reg.gauge("queue");
-    EXPECT_EQ(h1, reg.monotonic("tokens"));
-    EXPECT_NE(h1, h2);
-    reg.add(h1, 5);
-    reg.add(h1, 7);
-    reg.set(h2, 3);
-    EXPECT_EQ(reg.value(h1), 12);
-    EXPECT_EQ(reg.value(h2), 3);
-
-    auto snap = reg.snapshot();
-    ASSERT_EQ(snap.size(), 2u);
-    EXPECT_EQ(snap[0].name, "tokens");
-    EXPECT_TRUE(snap[0].monotonic);
-    EXPECT_EQ(snap[1].name, "queue");
-    EXPECT_FALSE(snap[1].monotonic);
-}
-
 TEST(ObsCounters, ConsumeChangedSamplesOnlyTransitions)
 {
-    CounterRegistry reg;
-    auto h = reg.gauge("depth");
-    EXPECT_TRUE(reg.consumeChanged(h)); // initial value is a transition
-    EXPECT_FALSE(reg.consumeChanged(h));
-    reg.set(h, 4);
-    EXPECT_TRUE(reg.consumeChanged(h));
-    EXPECT_FALSE(reg.consumeChanged(h));
-    reg.set(h, 4); // unchanged value: no sample
-    EXPECT_FALSE(reg.consumeChanged(h));
+    TraceOptions opts;
+    opts.level = TraceLevel::Request;
+    TraceSink sink(opts);
+    MetricsRegistry reg;
+    const CounterView views[] = {
+        {"depth", reg.series("depth"), CounterStat::Last}};
+    std::vector<std::pair<dam::Cycle, int64_t>> samples;
+    auto sample = [&](dam::Cycle at) {
+        sink.sampleCounters(at, reg, views);
+        samples.clear();
+        sink.forEachEvent([&](const TraceEvent& e) {
+            if (e.kind == EventKind::Counter) {
+                EXPECT_EQ(sink.name(e.name), "depth");
+                samples.emplace_back(e.ts, e.arg0);
+            }
+        });
+    };
+    sample(1); // initial value is a transition
+    EXPECT_EQ(samples.size(), 1u);
+    sample(2);
+    EXPECT_EQ(samples.size(), 1u);
+    reg.record(views[0].instrument, 3, 4);
+    sample(3);
+    EXPECT_EQ(samples.size(), 2u);
+    sample(4);
+    EXPECT_EQ(samples.size(), 2u);
+    reg.record(views[0].instrument, 5, 4); // unchanged value: no sample
+    sample(5);
+    const std::vector<std::pair<dam::Cycle, int64_t>> want = {{1, 0},
+                                                              {3, 4}};
+    EXPECT_EQ(samples, want);
 }
 
 TEST(ObsTrace, RingBoundsEventCountAndCountsDrops)

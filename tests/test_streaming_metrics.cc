@@ -4,20 +4,25 @@
  * (exactness below the sub-bucket range, bounded relative error above
  * it, order-invariant and associative merges), the fixed-window
  * TimeSeries (alignment, non-monotone stamps, windowwise merge), the
- * MetricsRegistry fold, the batch percentile helper the summary path
- * uses (one sort for all quantiles), engine-sampled instrument
- * conservation against the summary, windowed SLO attainment, and the
- * artifact byte-identity contract across worker-thread counts and
- * seeded replays.
+ * MetricsRegistry fold and its counter views, the batch percentile
+ * helper the summary path uses (one sort for all quantiles),
+ * engine-sampled instrument and counter conservation against the
+ * summary (fault-free and under faults), trace bytes that do not depend
+ * on an attached registry, windowed SLO attainment, and the artifact
+ * byte-identity contract across worker-thread counts and seeded
+ * replays.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <sstream>
 #include <vector>
 
+#include "obs/export.hh"
 #include "obs/histogram.hh"
 #include "obs/metrics.hh"
+#include "obs/sink.hh"
 #include "obs/timeseries.hh"
 #include "runtime/cluster.hh"
 #include "support/error.hh"
@@ -265,11 +270,35 @@ TEST(Metrics, RegistryFoldsByNameAndRejectsKindFlips)
     MetricsRegistry b{MetricsConfig{true, 100}};
     const auto ha = a.histogram("ttft");
     const auto sa = a.series("depth");
+    // Registration is idempotent by name.
+    EXPECT_EQ(ha, a.histogram("ttft"));
+    EXPECT_EQ(sa, a.series("depth"));
+    EXPECT_NE(ha, sa);
     a.record(ha, 10, 500);
     a.record(sa, 10, 3);
+    a.record(sa, 20, 2);
+
+    // Counter views: a gauge reads the last sample, monotonic counters
+    // the sample count or sum; the snapshot keeps view order.
+    const CounterView views[] = {{"depth", sa, CounterStat::Last},
+                                 {"depth_samples", sa, CounterStat::Count},
+                                 {"depth_total", sa, CounterStat::Sum}};
+    const std::vector<CounterSample> snap = snapshotCounters(a, views);
+    ASSERT_EQ(snap.size(), 3u);
+    EXPECT_EQ(snap[0].name, "depth");
+    EXPECT_EQ(snap[0].value, 2);
+    EXPECT_FALSE(snap[0].monotonic);
+    EXPECT_EQ(snap[1].name, "depth_samples");
+    EXPECT_EQ(snap[1].value, 2);
+    EXPECT_TRUE(snap[1].monotonic);
+    EXPECT_EQ(snap[2].name, "depth_total");
+    EXPECT_EQ(snap[2].value, 5);
+    EXPECT_TRUE(snap[2].monotonic);
+
     const auto hb = b.histogram("ttft");
     b.record(hb, 150, 700);
     b.series("extra");
+    b.record(b.series("depth"), 30, 1);
 
     a.mergeFrom(b);
     ASSERT_NE(a.find("ttft"), nullptr);
@@ -278,6 +307,9 @@ TEST(Metrics, RegistryFoldsByNameAndRejectsKindFlips)
     EXPECT_EQ(a.find("ttft")->series.window(1).count, 1u);
     ASSERT_NE(a.find("extra"), nullptr); // appended in b's order
     EXPECT_EQ(a.size(), size_t(3));
+    // The merged gauge takes the max, like the summary counter merge.
+    EXPECT_EQ(counterValue(a, views[0]), 2);
+    EXPECT_EQ(counterValue(a, views[1]), 3);
 
     EXPECT_THROW(a.histogram("depth"), FatalError);
     EXPECT_THROW(a.series("ttft"), FatalError);
@@ -349,6 +381,40 @@ meteredTrace(int64_t n)
     return tc;
 }
 
+/**
+ * One engine through every fault and resilience path the counters
+ * cover: deadlines tight enough that every finisher misses and a shed
+ * policy drops the sure losers, a mid-run crash that fails the
+ * requests in flight, and a later deep slowdown whose drain migrates
+ * queued and prefilling work away. Arrivals continue past both, so
+ * the trace samples the fault counters after they move. @p reg and
+ * @p sink may each be null.
+ */
+EngineResult
+runFaultyResilient(MetricsRegistry* reg, TraceSink* sink,
+                   std::vector<Request>* out_reqs = nullptr)
+{
+    TraceConfig tc = meteredTrace(60);
+    tc.arrivalsPerKcycle = 0.0012;
+    tc.deadlineCycles = 800'000;
+    QueueDepthPolicy policy;
+    DeadlineAwareShedPolicy shed;
+    EngineConfig ec;
+    ec.seed = 5;
+    ec.admission = &shed;
+    ec.faults.downs.push_back({25'000'000, 27'000'000});
+    ec.faults.slowdowns.push_back({35'000'000, 43'000'000, 0.5});
+    ec.drain.enabled = true;
+    ServingEngine eng(ec, policy);
+    eng.attachMetrics(reg);
+    eng.attachTrace(sink);
+    auto reqs = generateTrace(tc, 17);
+    EngineResult r = eng.run(reqs);
+    if (out_reqs)
+        *out_reqs = std::move(reqs);
+    return r;
+}
+
 } // namespace
 
 TEST(Metrics, EngineInstrumentsConserveAgainstSummary)
@@ -400,6 +466,88 @@ TEST(Metrics, EngineInstrumentsConserveAgainstSummary)
     ASSERT_NE(gen, nullptr);
     EXPECT_EQ(int64_t(gen->series.total().sum),
               r.summary.generatedTokens);
+
+    // Second input: the faulty, resilient run, traced and metered. The
+    // summary's counters (views of the registry) must balance the
+    // fault and resilience fields of the summary.
+    TraceOptions opts;
+    opts.level = TraceLevel::Request;
+    TraceSink sink(opts);
+    MetricsRegistry freg{MetricsConfig{true, 2'000'000}};
+    std::vector<Request> freqs;
+    const EngineResult fr = runFaultyResilient(&freg, &sink, &freqs);
+    const ServingSummary& s = fr.summary;
+    // The run exercises every path below.
+    EXPECT_GT(s.completed, 0);
+    EXPECT_GT(s.failedRequests, 0);
+    EXPECT_GT(s.shedRequests, 0);
+    EXPECT_GT(s.migratedRequests, 0);
+    EXPECT_GT(s.deadlineMisses, 0);
+
+    auto counter = [&](std::string_view name) -> const CounterSample* {
+        for (const CounterSample& c : s.counters)
+            if (c.name == name)
+                return &c;
+        ADD_FAILURE() << "missing counter " << name;
+        return nullptr;
+    };
+    auto value = [&](std::string_view name) {
+        const CounterSample* c = counter(name);
+        return c ? c->value : -1;
+    };
+    EXPECT_EQ(value("requests_failed"), s.failedRequests);
+    EXPECT_EQ(value("requests_shed"), s.shedRequests);
+    EXPECT_EQ(value("requests_migrated"), s.migratedRequests);
+    EXPECT_EQ(value("deadline_misses"), s.deadlineMisses);
+    EXPECT_EQ(value("iterations"), fr.iterations);
+    EXPECT_EQ(value("replica_faults"), 1);
+    // The counter counts every emitted token; the summary counts only
+    // the tokens of finished requests. The crash's casualties had
+    // emitted some, so both sides of the ledger are nonzero here.
+    int64_t lost_tokens = 0;
+    for (const Request& q : freqs)
+        if (q.state != ReqState::Finished)
+            lost_tokens += q.generated;
+    EXPECT_GT(lost_tokens, 0);
+    EXPECT_EQ(value("generated_tokens"), s.generatedTokens + lost_tokens);
+
+    // Monotonic counters never step backwards on the trace track, and
+    // each track ends at the summary's final value.
+    std::map<std::string, int64_t> last;
+    sink.forEachEvent([&](const TraceEvent& e) {
+        if (e.kind != EventKind::Counter)
+            return;
+        const std::string& name = sink.name(e.name);
+        const CounterSample* c = counter(name);
+        auto [it, fresh] = last.try_emplace(name, e.arg0);
+        if (c && c->monotonic && !fresh) {
+            EXPECT_GE(e.arg0, it->second) << name << " at " << e.ts;
+        }
+        it->second = e.arg0;
+    });
+    EXPECT_EQ(last.size(), s.counters.size());
+    for (const CounterSample& c : s.counters)
+        EXPECT_EQ(last[c.name], c.value) << c.name;
+}
+
+TEST(Metrics, AttachingARegistryNeverChangesTraceBytes)
+{
+    // The counter track reads the caller's registry when one is
+    // attached and a run-local one otherwise; the bytes must not tell.
+    auto chrome = [](MetricsRegistry* reg) {
+        TraceOptions opts;
+        opts.level = TraceLevel::Request;
+        TraceSink sink(opts);
+        runFaultyResilient(reg, &sink);
+        std::ostringstream os;
+        writeChromeTrace(os, {&sink});
+        return os.str();
+    };
+    MetricsRegistry reg{MetricsConfig{true, 2'000'000}};
+    const std::string with_registry = chrome(&reg);
+    const std::string trace_only = chrome(nullptr);
+    EXPECT_NE(with_registry.find("\"requests_failed\""), std::string::npos);
+    EXPECT_EQ(with_registry, trace_only);
 }
 
 TEST(Metrics, SloWindowAttainmentFromSyntheticRegistry)
