@@ -25,13 +25,13 @@ for every phase that was reached (-1 marks unreached phases). Fault
 outcomes are checked too: finished/failed/shed/migrated are mutually
 exclusive, failed/shed/migrated stamps never precede the arrival (or
 the first token, when one was emitted), shed requests were never
-admitted, and attempt counts are non-negative. Retry validation checks
-lineage: an attempt > 0 incarnation (a failover retry or a resilience
-migration handoff) must have a lower-attempt incarnation of the same
-request on record. Stamp ordering across incarnations is deliberately
-NOT enforced — the failover waves re-simulate source replicas, so the
-final timeline's terminal stamp can legitimately land after (or in a
-different state than) the earlier-wave event that spawned the retry.
+admitted, and attempt counts are non-negative. Each (id, attempt)
+incarnation appears once. Retry validation checks lineage, which the
+cluster's co-simulation makes causal: an attempt-k incarnation (k > 0,
+a failover retry or a resilience migration handoff) must have an
+attempt-(k-1) parent of the same request that ended failed or
+migrated (never finished or shed), stamped no later than the child's
+arrival.
 
 Fault instants in the trace (fault.replica_down / fault.replica_up /
 req.retry / req.failed / req.shed / req.migrated) must alternate sanely
@@ -161,7 +161,7 @@ def check_trace(path):
 
 def check_jsonl(path):
     n = 0
-    attempts_by_rid = defaultdict(list)
+    records = {}  # (id, attempt) -> (lineno, record)
     retries = []
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
@@ -231,25 +231,54 @@ def check_jsonl(path):
             rid = r.get("id")
             if rid is not None:
                 attempt = r.get("attempt", 0)
-                attempts_by_rid[rid].append(attempt)
+                if (rid, attempt) in records:
+                    fail(
+                        f"{path}:{lineno}: request {rid} attempt {attempt} "
+                        f"already on record at line "
+                        f"{records[(rid, attempt)][0]}"
+                    )
+                records[(rid, attempt)] = (lineno, r)
                 if attempt > 0:
-                    retries.append((lineno, rid, attempt))
+                    retries.append((lineno, rid, attempt, arrival))
     if n == 0:
         fail(f"{path}: no request records")
-    # Lineage: a retry/migration incarnation exists only because some
-    # lower-attempt incarnation of the same request ended early. Stamp
-    # ordering across incarnations is not comparable post-wave (see the
-    # module docstring), but the parent incarnation must be on record.
-    for lineno, rid, attempt in retries:
-        if not any(a < attempt for a in attempts_by_rid.get(rid, [])):
+    # Lineage: a retry/migration incarnation exists only because its
+    # parent, the previous attempt of the same request, ended failed or
+    # migrated before the child arrived.
+    for lineno, rid, attempt, arrival in retries:
+        parent = records.get((rid, attempt - 1))
+        if parent is None:
             fail(
                 f"{path}:{lineno}: request {rid} incarnation with "
-                f"attempt {attempt} has no lower-attempt incarnation "
+                f"attempt {attempt} has no attempt-{attempt - 1} parent "
                 f"on record"
+            )
+        plineno, p = parent
+        ended = [
+            (k, p.get(k, -1))
+            for k in ("failed", "migrated")
+            if p.get(k, -1) != -1
+        ]
+        if not ended:
+            fail(
+                f"{path}:{lineno}: request {rid} attempt {attempt}: parent "
+                f"(line {plineno}) ended neither failed nor migrated: {p}"
+            )
+        state, stamp = ended[0]
+        if arrival != -1 and stamp > arrival:
+            fail(
+                f"{path}:{lineno}: request {rid} attempt {attempt} arrives "
+                f"at {arrival}, before its parent {state} at {stamp} "
+                f"(line {plineno})"
             )
     print(
         f"check_trace: {path}: {n} request lifecycles consistent"
-        + (f", {len(retries)} retries each with a parent incarnation" if retries else "")
+        + (
+            f", {len(retries)} retries each after a failed or migrated "
+            f"parent"
+            if retries
+            else ""
+        )
     )
 
 

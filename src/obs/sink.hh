@@ -110,12 +110,11 @@ class TraceSink
     /**
      * @p attempt > 0 marks a cluster retry incarnation: a "req.retry"
      * instant is emitted alongside the arrival. Lifecycle records are
-     * keyed by (id, attempt) — the fault tier's failover waves can
-     * leave a superseded incarnation and its successor concurrently
-     * simulated on one replica, and each hooks into its own record —
-     * so every later hook passes the incarnation's attempt too. The
-     * JSONL reports one line per incarnation, so a failed first
-     * attempt stays visible.
+     * keyed by (id, attempt) — a retry can land back on the replica
+     * its superseded incarnation failed on, and each hooks into its
+     * own record — so every later hook passes the incarnation's
+     * attempt too. The JSONL reports one line per incarnation, so a
+     * failed first attempt stays visible.
      */
     void reqArrived(int64_t id, int64_t session, int64_t turn,
                     int64_t prompt_len, int64_t output_len, dam::Cycle at,

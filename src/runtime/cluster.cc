@@ -4,13 +4,14 @@
 #include <cmath>
 #include <deque>
 #include <exception>
+#include <functional>
 #include <limits>
-#include <numeric>
-#include <set>
 #include <thread>
+#include <tuple>
 #include <utility>
 
 #include "support/error.hh"
+#include "support/framepool.hh"
 #include "support/rng.hh"
 
 namespace step::runtime {
@@ -77,6 +78,84 @@ struct ShadowReplica
     }
 };
 
+/**
+ * Run job(t) for every worker t < @p workers, worker 0 on the calling
+ * thread and each other on a thread of its own, and rethrow the
+ * lowest-indexed worker's exception once all have returned.
+ */
+void
+forkJoin(size_t workers, const std::function<void(size_t)>& job)
+{
+    std::vector<std::exception_ptr> errors(workers);
+    auto run = [&](size_t t) {
+        try {
+            job(t);
+        } catch (...) {
+            errors[t] = std::current_exception();
+        }
+    };
+    {
+        std::vector<std::jthread> threads; // joined on leaving the scope
+        for (size_t t = 1; t < workers; ++t)
+            threads.emplace_back(run, t);
+        run(0);
+    }
+    for (std::exception_ptr& e : errors)
+        if (e)
+            std::rethrow_exception(e);
+}
+
+/**
+ * The replica alive at @p at with the least @p load (ties to the lowest
+ * index), or -1 when none is.
+ */
+int64_t
+leastLoadedAlive(const std::vector<int64_t>& load, const FaultPlan& faults,
+                 dam::Cycle at)
+{
+    int64_t best = -1;
+    for (size_t c = 0; c < load.size(); ++c)
+        if (faults.aliveAt(static_cast<int64_t>(c), at) &&
+            (best < 0 || load[c] < load[static_cast<size_t>(best)]))
+            best = static_cast<int64_t>(c);
+    return best;
+}
+
+/** One instant per state flip of @p breaker, in cycle order, named by
+ *  the state after the edge; value carries @p replica. */
+std::vector<ClusterInstant>
+breakerInstants(const BreakerTimeline& breaker, int64_t replica)
+{
+    std::vector<dam::Cycle> edges;
+    for (const auto* windows : {&breaker.open, &breaker.halfOpen})
+        for (const BreakerTimeline::Window& w : *windows) {
+            edges.push_back(w.start);
+            if (w.end != 0)
+                edges.push_back(w.end);
+        }
+    std::sort(edges.begin(), edges.end());
+    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+    std::vector<ClusterInstant> out;
+    for (dam::Cycle c : edges) {
+        ClusterInstant ci;
+        ci.at = c;
+        ci.value = replica;
+        switch (breaker.stateAt(c)) {
+          case BreakerState::Open:
+            ci.kind = ClusterInstant::BreakerOpen;
+            break;
+          case BreakerState::HalfOpen:
+            ci.kind = ClusterInstant::BreakerHalfOpen;
+            break;
+          case BreakerState::Closed:
+            ci.kind = ClusterInstant::BreakerClosed;
+            break;
+        }
+        out.push_back(ci);
+    }
+    return out;
+}
+
 } // namespace
 
 std::string
@@ -112,6 +191,15 @@ double
 ServingCluster::bwScaleAt(size_t r) const
 {
     return cfg_.bwScales.empty() ? 1.0 : cfg_.bwScales[r];
+}
+
+double
+ServingCluster::flopsPerToken() const
+{
+    return static_cast<double>(prefillFlopsPerToken(
+        cfg_.engine.model, cfg_.engine.numLayers > 0
+                               ? cfg_.engine.numLayers
+                               : cfg_.engine.model.numLayers));
 }
 
 std::vector<BreakerTimeline>
@@ -214,14 +302,10 @@ ServingCluster::routeTraceImpl(
         BatcherConfig bc = cfg_.engine.batcher;
         if (bc.kvBytesPerToken == 0)
             bc.kvBytesPerToken = cfg_.engine.model.kvBytesPerToken();
-        const int64_t layers = cfg_.engine.numLayers > 0
-                                   ? cfg_.engine.numLayers
-                                   : cfg_.engine.model.numLayers;
         // Per-token service proxy: the analytic prefill cost stands in
         // for both phases — the router only needs relative load, not
         // absolute latency.
-        const double fpt = static_cast<double>(
-            prefillFlopsPerToken(cfg_.engine.model, layers));
+        const double fpt = flopsPerToken();
         const double bw =
             static_cast<double>(cfg_.engine.totalComputeBw);
 
@@ -288,16 +372,10 @@ ServingCluster::routeTraceImpl(
             pre = &computed;
         }
         const std::vector<BreakerTimeline>& breakers = *pre;
-        const int64_t layers = cfg_.engine.numLayers > 0
-                                   ? cfg_.engine.numLayers
-                                   : cfg_.engine.model.numLayers;
         const std::vector<AutoscaleStep> autoscale =
             computeAutoscaleTimeline(
                 cfg_.resilience.autoscale, reqs, cfg_.faults,
-                cfg_.replicas,
-                static_cast<double>(
-                    prefillFlopsPerToken(cfg_.engine.model, layers)),
-                cfg_.engine.totalComputeBw);
+                cfg_.replicas, flopsPerToken(), cfg_.engine.totalComputeBw);
         std::vector<int64_t> load(R, 0);
         std::unordered_map<uint64_t, size_t> sticky; // key -> owner
         for (size_t i = 0; i < reqs.size(); ++i) {
@@ -325,7 +403,8 @@ ServingCluster::routeTraceImpl(
                     /*affinityOwner=*/-1,
                     cfg_.resilience.remotePrefix.affinityLoadFactor,
                     cfg_.resilience.breaker.halfOpenLoadPenalty,
-                    cfg_.bwScales.empty() ? nullptr : &cfg_.bwScales);
+                    cfg_.bwScales.empty() ? nullptr : &cfg_.bwScales,
+                    reqs[i].promptLen + reqs[i].outputLen);
                 if (best >= 0) {
                     r = static_cast<size_t>(best);
                     out[i] = best;
@@ -351,15 +430,8 @@ ServingCluster::routeTraceImpl(
             auto r = static_cast<size_t>(out[i]);
             if (!cfg_.faults.aliveAt(static_cast<int64_t>(r),
                                      reqs[i].arrival)) {
-                int64_t best = -1;
-                for (size_t c = 0; c < R; ++c) {
-                    if (!cfg_.faults.aliveAt(static_cast<int64_t>(c),
-                                             reqs[i].arrival))
-                        continue;
-                    if (best < 0 ||
-                        load[c] < load[static_cast<size_t>(best)])
-                        best = static_cast<int64_t>(c);
-                }
+                const int64_t best =
+                    leastLoadedAlive(load, cfg_.faults, reqs[i].arrival);
                 if (best >= 0) {
                     r = static_cast<size_t>(best);
                     out[i] = best;
@@ -390,84 +462,23 @@ ServingCluster::run(std::vector<Request>& reqs)
         breakers = resilientBreakers(reqs);
     const std::vector<int64_t> assignment =
         routeTraceImpl(reqs, resilient ? &breakers : nullptr);
-    const bool have_faults = !cfg_.faults.empty();
 
-    // Per-replica fault timelines and seeds, derived on the coordinating
-    // thread before any worker exists — the one ordering the global-seed
-    // contract requires (see rng.hh).
+    // Per-replica fault timelines and (below) seeds are derived on the
+    // coordinating thread before any worker exists — the one ordering
+    // the global-seed contract requires (see rng.hh).
     std::vector<ReplicaFaultTimeline> plans(R);
-    if (have_faults)
-        for (size_t r = 0; r < R; ++r)
-            plans[r] = cfg_.faults.forReplica(static_cast<int64_t>(r));
-    std::vector<uint64_t> seeds(R);
     for (size_t r = 0; r < R; ++r)
-        seeds[r] = deriveSeed(static_cast<uint64_t>(r));
+        plans[r] = cfg_.faults.forReplica(static_cast<int64_t>(r));
 
-    // Resilience pre-pass: breaker timelines, the autoscaler's step
-    // timeline, and the per-replica cluster-instant lists the engines
-    // will stamp onto their traces — all pure data derived before any
-    // worker exists, like the fault plans and seeds above.
+    // Resilience pre-pass: the autoscaler's step timeline and the
+    // sessions' cache owners — pure data derived before any worker
+    // exists, like the fault plans and seeds.
     std::vector<AutoscaleStep> autoscale;
-    std::vector<std::vector<ClusterInstant>> instants(R);
     std::unordered_map<uint64_t, int64_t> affinity_owner;
     if (resilient) {
-        const int64_t layers = cfg_.engine.numLayers > 0
-                                   ? cfg_.engine.numLayers
-                                   : cfg_.engine.model.numLayers;
         autoscale = computeAutoscaleTimeline(
             cfg_.resilience.autoscale, reqs, cfg_.faults, cfg_.replicas,
-            static_cast<double>(
-                prefillFlopsPerToken(cfg_.engine.model, layers)),
-            cfg_.engine.totalComputeBw);
-        for (size_t r = 0; r < R; ++r) {
-            // Each breaker-state flip becomes one instant at its edge;
-            // the state *after* the edge names the instant.
-            std::vector<dam::Cycle> edges;
-            for (const BreakerTimeline::Window& w : breakers[r].open) {
-                edges.push_back(w.start);
-                if (w.end != 0)
-                    edges.push_back(w.end);
-            }
-            for (const BreakerTimeline::Window& w :
-                 breakers[r].halfOpen) {
-                edges.push_back(w.start);
-                if (w.end != 0)
-                    edges.push_back(w.end);
-            }
-            std::sort(edges.begin(), edges.end());
-            edges.erase(std::unique(edges.begin(), edges.end()),
-                        edges.end());
-            for (dam::Cycle c : edges) {
-                ClusterInstant ci;
-                ci.at = c;
-                ci.value = static_cast<int64_t>(r);
-                switch (breakers[r].stateAt(c)) {
-                  case BreakerState::Open:
-                    ci.kind = ClusterInstant::BreakerOpen;
-                    break;
-                  case BreakerState::HalfOpen:
-                    ci.kind = ClusterInstant::BreakerHalfOpen;
-                    break;
-                  case BreakerState::Closed:
-                    ci.kind = ClusterInstant::BreakerClosed;
-                    break;
-                }
-                instants[r].push_back(ci);
-            }
-        }
-        // Autoscale steps are cluster-scope; replica 0's trace carries
-        // them (one writer per sink — the coordinator cannot).
-        for (const AutoscaleStep& s : autoscale)
-            instants[0].push_back(
-                {s.at, ClusterInstant::AutoscaleActive, s.active});
-        for (size_t r = 0; r < R; ++r)
-            std::sort(instants[r].begin(), instants[r].end(),
-                      [](const ClusterInstant& a,
-                         const ClusterInstant& b) {
-                          if (a.at != b.at)
-                              return a.at < b.at;
-                          return a.kind < b.kind;
-                      });
+            flopsPerToken(), cfg_.engine.totalComputeBw);
         // Last sight wins: where the session's cache is warm *now*
         // (the health-scored remap may have moved the session's home).
         for (size_t i = 0; i < reqs.size(); ++i)
@@ -475,50 +486,44 @@ ServingCluster::run(std::vector<Request>& reqs)
                 affinity_owner[reqs[i].affinityKey] = assignment[i];
     }
 
-    // Shard the trace into *pristine* per-replica inputs. Each shard
-    // keeps trace order, so it starts sorted by arrival; meta[] maps
-    // shard slots back to the caller's vector and records which retry
-    // incarnation the slot is. Failover waves append incarnations here
-    // and re-simulate from a fresh working copy, so every (re-)run of a
-    // replica replays the identical deterministic input.
-    struct Incarnation
+    // Shard the trace into per-replica inputs, in trace order so each
+    // starts sorted by arrival. origin[r][k] maps replica r's request k
+    // (its shard, then the incarnations injected into it) back to the
+    // caller's trace; fin[i] locates request i's latest incarnation.
+    // load[r] is the worst-case tokens ever assigned to replica r, by
+    // routing or by failover: the failover placement's load.
+    struct Final
     {
-        size_t orig;     ///< index into the caller's trace
-        int64_t attempt; ///< 0 = original submission
+        size_t replica = 0, slot = 0;
+        bool settled = false; ///< a casualty the cluster gave up on
     };
-    std::vector<std::vector<Request>> shard(R);
-    std::vector<std::vector<Incarnation>> meta(R);
+    std::vector<std::vector<Request>> work(R);
+    std::vector<std::vector<size_t>> origin(R);
+    std::vector<Final> fin(reqs.size());
+    std::vector<int64_t> load(R, 0);
     for (size_t i = 0; i < reqs.size(); ++i) {
         auto r = static_cast<size_t>(assignment[i]);
-        shard[r].push_back(reqs[i]);
-        meta[r].push_back({i, reqs[i].attempt});
+        fin[i] = {r, work[r].size()};
+        work[r].push_back(reqs[i]);
+        origin[r].push_back(i);
+        load[r] += reqs[i].promptLen + reqs[i].outputLen;
     }
 
-    int64_t threads = cfg_.threads > 0 ? cfg_.threads : cfg_.replicas;
-    threads = std::min(threads, cfg_.replicas);
-
+    // One live engine, trace sink and metrics registry per replica for
+    // the whole run: replica r's worker is their only writer, so
+    // recording needs no locks, and exporting in index order erases the
+    // thread count from the bytes. Barriers are the cycles where a
+    // cross-replica message can start: a crash, a slowdown-drain edge,
+    // an arrival the router had to send into a down replica.
     std::vector<ReplicaResult> results(R);
-    std::vector<std::vector<Request>> work(R);
-
-    // One sink per replica; a re-simulated replica gets a fresh sink so
-    // the exported trace describes its final timeline only. Sinks are
-    // (re)created before a wave's workers spawn: replica r's worker is
-    // its sink's only writer, so recording needs no locks, and exporting
-    // in index order erases the thread count from the output bytes.
     std::vector<std::unique_ptr<obs::TraceSink>> traces;
-    if (cfg_.trace.level != obs::TraceLevel::Off)
-        traces.resize(R);
-
-    // One metrics registry per replica, same single-writer discipline
-    // as the trace sinks; re-simulated replicas get a fresh registry so
-    // the exported metrics describe the final timeline only.
     std::vector<std::unique_ptr<obs::MetricsRegistry>> mregs;
-    if (cfg_.metrics.enabled)
-        mregs.resize(R);
-
-    auto run_replica = [&](size_t r) {
+    std::vector<std::unique_ptr<ServingEngine>> engines;
+    std::vector<dam::Cycle> barriers;
+    for (size_t r = 0; r < R; ++r) {
         EngineConfig ec = cfg_.engine;
-        ec.seed = seeds[r];
+        ec.seed = results[r].seed = deriveSeed(static_cast<uint64_t>(r));
+        results[r].replica = static_cast<int64_t>(r);
         ec.faults = plans[r];
         if (!cfg_.bwScales.empty())
             ec.totalComputeBw = static_cast<int64_t>(std::llround(
@@ -531,145 +536,91 @@ ServingCluster::run(std::vector<Request>& reqs)
             ec.drain.detectCycles = cfg_.resilience.breaker.detectCycles;
             ec.drain.openBelowFactor =
                 cfg_.resilience.breaker.openBelowFactor;
-            ec.clusterInstants = instants[r];
+            // The engine stamps its breaker flips onto its own trace;
+            // replica 0's also carries the cluster-scope autoscale steps.
+            ec.clusterInstants =
+                breakerInstants(breakers[r], static_cast<int64_t>(r));
+            if (r == 0)
+                for (const AutoscaleStep& s : autoscale)
+                    ec.clusterInstants.push_back(
+                        {s.at, ClusterInstant::AutoscaleActive, s.active});
+            std::sort(ec.clusterInstants.begin(), ec.clusterInstants.end(),
+                      [](const ClusterInstant& a, const ClusterInstant& b) {
+                          if (a.at != b.at)
+                              return a.at < b.at;
+                          return a.kind < b.kind;
+                      });
         }
-        ServingEngine engine(ec, policy_);
-        if (!traces.empty())
-            engine.attachTrace(traces[r].get());
-        if (!mregs.empty())
-            engine.attachMetrics(mregs[r].get());
-        ReplicaResult& out = results[r];
-        out.replica = static_cast<int64_t>(r);
-        out.seed = seeds[r];
-        out.assignedRequests = static_cast<int64_t>(shard[r].size());
-        out.result = engine.run(work[r]);
-    };
-    // Simulate the listed replicas on the worker pool. Replica todo[i]
-    // runs on worker i mod T; which thread hosts a replica never changes
-    // what the replica computes (shared-nothing), only where.
-    auto run_wave = [&](const std::vector<size_t>& todo) {
-        for (size_t r : todo) {
-            work[r] = shard[r];
-            if (!traces.empty())
-                traces[r] = std::make_unique<obs::TraceSink>(cfg_.trace);
-            if (!mregs.empty())
-                mregs[r] =
-                    std::make_unique<obs::MetricsRegistry>(cfg_.metrics);
+        for (const auto& d : plans[r].downs)
+            barriers.push_back(d.failAt);
+        for (dam::Cycle c : slowdownDrainEdges(plans[r], ec.drain))
+            barriers.push_back(c);
+        ServingEngine& engine = *engines.emplace_back(
+            std::make_unique<ServingEngine>(std::move(ec), policy_));
+        if (cfg_.trace.level != obs::TraceLevel::Off) {
+            traces.push_back(std::make_unique<obs::TraceSink>(cfg_.trace));
+            engine.attachTrace(traces.back().get());
         }
-        const size_t T = static_cast<size_t>(std::min<int64_t>(
-            threads, static_cast<int64_t>(todo.size())));
-        std::vector<std::exception_ptr> errors(std::max<size_t>(1, T));
-        auto worker = [&](size_t t) {
-            try {
-                for (size_t i = t; i < todo.size(); i += T)
-                    run_replica(todo[i]);
-            } catch (...) {
-                errors[t] = std::current_exception();
-            }
-        };
-        if (T <= 1) {
-            worker(0);
-        } else {
-            std::vector<std::thread> pool;
-            pool.reserve(T);
-            for (size_t t = 0; t < T; ++t)
-                pool.emplace_back(worker, t);
-            for (std::thread& th : pool)
-                th.join();
+        if (cfg_.metrics.enabled) {
+            mregs.push_back(
+                std::make_unique<obs::MetricsRegistry>(cfg_.metrics));
+            engine.attachMetrics(mregs.back().get());
         }
-        for (std::exception_ptr& e : errors)
-            if (e)
-                std::rethrow_exception(e);
-    };
+        engine.begin(work[r]);
+    }
+    for (size_t i = 0; i < reqs.size(); ++i)
+        if (!cfg_.faults.aliveAt(assignment[i], reqs[i].arrival))
+            barriers.push_back(reqs[i].arrival);
+    std::sort(barriers.begin(), barriers.end());
+    barriers.erase(std::unique(barriers.begin(), barriers.end()),
+                   barriers.end());
+    barriers.push_back(ReplicaFaultTimeline::kNoEvent);
 
-    // ---- failover waves ----------------------------------------------
-    // Wave 0 simulates every replica. Each later wave collects the crash
-    // casualties no earlier wave decided, offers them to the retry
-    // policy in (fail-cycle, request, attempt) order, appends granted
-    // retries to the least-loaded replica alive at the re-arrival, and
-    // re-simulates only the changed replicas. Converges because each
-    // (request, attempt) pair is decided exactly once and the policy
-    // bounds attempts.
+    // ---- failover -----------------------------------------------------
+    // At a barrier, the incarnations that newly ended Failed or Migrated
+    // go to the retry policy (or the migration cost model) in
+    // (fail-cycle, prompt length, request, attempt) order; a granted one
+    // is injected into its target as the next attempt. Casualties that
+    // failed together go shortest prompt first: each re-prefills on its
+    // target, where prefill is FIFO, so the short ones then reach their
+    // first token soonest. Fates never change, so each casualty is
+    // handled once. Returns the number injected.
     static const ExponentialBackoffRetry default_retry;
     const RetryPolicy* retry = cfg_.retry ? cfg_.retry : &default_retry;
-    std::set<std::pair<size_t, int64_t>> decided;
-    std::vector<int64_t> load(R, 0);
-    for (size_t i = 0; i < reqs.size(); ++i)
-        load[static_cast<size_t>(assignment[i])] +=
-            reqs[i].promptLen + reqs[i].outputLen;
-    int64_t retries_issued = 0;
-    int64_t migrations_issued = 0;
-    // Last crash of replica r at or before cycle c (kNoEvent = none):
-    // the owner's cache holds nothing inserted before it.
-    auto last_crash_before = [&](size_t r, dam::Cycle c) -> dam::Cycle {
-        dam::Cycle last = ReplicaFaultTimeline::kNoEvent;
-        for (const auto& d : plans[r].downs)
-            if (d.failAt <= c &&
-                (last == ReplicaFaultTimeline::kNoEvent ||
-                 d.failAt > last))
-                last = d.failAt;
-        return last;
-    };
-
-    std::vector<size_t> todo(R);
-    std::iota(todo.begin(), todo.end(), size_t{0});
-    for (int wave = 0; !todo.empty(); ++wave) {
-        STEP_ASSERT(wave < 1024, "failover waves did not converge");
-        run_wave(todo);
-        todo.clear();
-        if (!have_faults)
-            break;
-
-        struct FailRec
-        {
-            dam::Cycle at;
-            size_t orig;
-            int64_t attempt;
-            size_t replica, slot;
-            bool migrated; ///< left via slowdown drain, KV intact
-        };
-        std::vector<FailRec> fails;
+    auto failover = [&]() {
+        // (fail-cycle, prompt, request, attempt, replica, slot)
+        std::vector<std::tuple<dam::Cycle, int64_t, size_t, int64_t, size_t,
+                               size_t>>
+            fails;
         for (size_t r = 0; r < R; ++r)
-            for (size_t k = 0; k < work[r].size(); ++k) {
-                const Request& q = work[r][k];
-                // Migrated only appears with the resilience drain on,
-                // so the fault-only path scans exactly as before.
-                if (q.state != ReqState::Failed &&
-                    q.state != ReqState::Migrated)
-                    continue;
-                const Incarnation& m = meta[r][k];
-                if (decided.count({m.orig, m.attempt}))
-                    continue;
-                fails.push_back({q.finishedAt, m.orig, m.attempt, r, k,
-                                 q.state == ReqState::Migrated});
+            for (size_t k = 0; k < engines[r]->requestCount(); ++k) {
+                const Request& q = engines[r]->request(k);
+                const Final& f = fin[origin[r][k]];
+                // Migrated only appears with the resilience drain on.
+                if ((q.state == ReqState::Failed ||
+                     q.state == ReqState::Migrated) &&
+                    !f.settled && f.replica == r && f.slot == k)
+                    fails.emplace_back(q.finishedAt, q.promptLen,
+                                       origin[r][k], q.attempt, r, k);
             }
-        std::sort(fails.begin(), fails.end(),
-                  [](const FailRec& a, const FailRec& b) {
-                      if (a.at != b.at)
-                          return a.at < b.at;
-                      if (a.orig != b.orig)
-                          return a.orig < b.orig;
-                      return a.attempt < b.attempt;
-                  });
-
-        std::vector<char> dirty(R, 0);
-        for (const FailRec& f : fails) {
-            const std::pair<size_t, int64_t> key{f.orig, f.attempt};
-            decided.insert(key);
-            const Request& src = work[f.replica][f.slot];
+        std::sort(fails.begin(), fails.end());
+        int64_t injected = 0;
+        for (const auto& [at, prompt, orig, attempt, from, slot] : fails) {
+            const Request& src = engines[from]->request(slot);
+            const bool migrated = src.state == ReqState::Migrated;
             std::optional<dam::Cycle> re;
             int64_t kv = 0; // KV tokens the handoff carries
             if (!resilient) {
-                re = retry->reschedule(src, f.attempt + 1, f.at);
-            } else if (f.attempt + 1 <=
+                re = retry->reschedule(src, attempt + 1, at);
+            } else if (attempt + 1 <=
                        cfg_.resilience.migration.maxMigrations) {
                 // Migration cost model: fixed handshake, plus the KV
                 // shard for a soft drain (a hard-down source lost its
                 // KV — crash casualties re-prefill from scratch).
                 const MigrationConfig& mc = cfg_.resilience.migration;
-                kv = f.migrated ? src.prefilledTokens : 0;
+                kv = migrated ? src.prefilledTokens : 0;
                 const dam::Cycle rearrive =
-                    f.at + std::max<dam::Cycle>(
+                    at + std::max<dam::Cycle>(
                                1, mc.fixedHandoffCycles +
                                       static_cast<dam::Cycle>(kv) *
                                           mc.perTokenTransferCycles);
@@ -678,75 +629,66 @@ ServingCluster::run(std::vector<Request>& reqs)
                 if (src.deadlineAt == 0 || rearrive <= src.deadlineAt)
                     re = rearrive;
             }
-            if (!re)
-                continue; // policy says permanent (attempts / deadline)
-            int64_t owner = -1;
-            if (resilient && reqs[f.orig].affinityKey != 0) {
-                const auto it =
-                    affinity_owner.find(reqs[f.orig].affinityKey);
-                if (it != affinity_owner.end())
-                    owner = it->second;
-            }
+            // Only the resilience tier records owners, under keys != 0.
+            const auto it = affinity_owner.find(reqs[orig].affinityKey);
+            const int64_t owner = it != affinity_owner.end() ? it->second : -1;
             int64_t best = -1;
-            if (resilient) {
+            if (re && resilient) {
                 best = pickResilientTarget(
                     load, cfg_.faults, breakers, autoscale, *re, owner,
                     cfg_.resilience.remotePrefix.affinityLoadFactor,
                     cfg_.resilience.breaker.halfOpenLoadPenalty,
-                    cfg_.bwScales.empty() ? nullptr : &cfg_.bwScales);
-            } else {
-                // Least-loaded replica alive at the re-arrival cycle;
-                // with none alive the retry could only be refused
-                // again, so the failure stands.
-                for (size_t c = 0; c < R; ++c) {
-                    if (!cfg_.faults.aliveAt(static_cast<int64_t>(c),
-                                             *re))
-                        continue;
-                    if (best < 0 ||
-                        load[c] < load[static_cast<size_t>(best)])
-                        best = static_cast<int64_t>(c);
-                }
+                    cfg_.bwScales.empty() ? nullptr : &cfg_.bwScales,
+                    src.promptLen + src.outputLen);
+            } else if (re) {
+                // With no replica alive at the re-arrival cycle the
+                // retry could only be refused again: the failure stands.
+                best = leastLoadedAlive(load, cfg_.faults, *re);
             }
-            if (best < 0)
+            if (best < 0) { // denied (attempts, deadline) or no target
+                fin[orig].settled = true;
                 continue;
+            }
             const auto tgt = static_cast<size_t>(best);
-            Request inc = reqs[f.orig]; // pristine: waves never mutate
+            Request inc = reqs[orig]; // the caller's trace is pristine
             inc.arrival = *re;
-            inc.attempt = f.attempt + 1;
+            inc.attempt = attempt + 1;
             if (resilient) {
                 // Cross-replica prefix fetch: placed off its affinity
                 // owner, the incarnation may still pull its warm prefix
                 // from the owner's cache — if an earlier turn of the
-                // session finished there before the handoff lands and
-                // after the owner's last crash (the cache died with
-                // it). Block-granular; the fetch pays a lookup RTT plus
-                // per-token transfer for what the migration did not
-                // already carry. The owner's currently-simulated
-                // timeline is the reference — deterministic, since
-                // waves run sequentially on this thread.
+                // session finished there, as of this barrier, before
+                // the handoff lands and after the owner's last crash
+                // (the cache died with it). Block-granular; the fetch
+                // pays a lookup RTT plus per-token transfer for what
+                // the migration did not already carry.
                 const RemotePrefixConfig& rp =
                     cfg_.resilience.remotePrefix;
                 if (rp.enabled && owner >= 0 &&
                     static_cast<size_t>(owner) != tgt) {
-                    const auto ow = static_cast<size_t>(owner);
-                    const dam::Cycle wiped = last_crash_before(ow, *re);
+                    const ServingEngine& ow =
+                        *engines[static_cast<size_t>(owner)];
+                    const auto& downs =
+                        plans[static_cast<size_t>(owner)].downs;
                     int64_t credit = 0;
-                    for (const Request& q : work[ow]) {
+                    for (size_t k = 0; k < ow.requestCount(); ++k) {
+                        const Request& q = ow.request(k);
                         if (q.sessionId != inc.sessionId ||
                             q.turn >= inc.turn ||
-                            q.state != ReqState::Finished)
+                            q.state != ReqState::Finished ||
+                            q.finishedAt > *re ||
+                            std::any_of(downs.begin(), downs.end(),
+                                        [&](const auto& d) {
+                                            return d.failAt >=
+                                                       q.finishedAt &&
+                                                   d.failAt <= *re;
+                                        }))
                             continue;
-                        if (q.finishedAt > *re)
-                            continue;
-                        if (wiped != ReplicaFaultTimeline::kNoEvent &&
-                            q.finishedAt <= wiped)
-                            continue;
-                        const int64_t blocks = static_cast<int64_t>(
-                            q.blockHashes.size());
                         credit = std::max(
-                            credit,
-                            std::min(blocks * kPrefixBlockTokens,
-                                     inc.promptLen - 1));
+                            credit, std::min(static_cast<int64_t>(
+                                                 q.blockHashes.size()) *
+                                                 kPrefixBlockTokens,
+                                             inc.promptLen - 1));
                     }
                     if (credit > kv) {
                         const dam::Cycle fetched =
@@ -762,128 +704,71 @@ ServingCluster::run(std::vector<Request>& reqs)
                 }
                 inc.remoteKvTokens = kv;
             }
-            shard[tgt].push_back(inc);
-            meta[tgt].push_back({f.orig, inc.attempt});
+            engines[tgt]->inject(inc);
+            fin[orig] = {tgt, origin[tgt].size()};
+            origin[tgt].push_back(orig);
             load[tgt] += inc.promptLen + inc.outputLen;
-            if (f.migrated)
-                ++migrations_issued;
-            else
-                ++retries_issued;
-            dirty[tgt] = 1;
+            ++injected;
         }
+        return injected;
+    };
 
-        // Re-sort the changed shards by arrival (lockstep with meta;
-        // full key keeps the order independent of the append sequence).
-        for (size_t r = 0; r < R; ++r) {
-            if (!dirty[r])
-                continue;
-            std::vector<size_t> idx(shard[r].size());
-            std::iota(idx.begin(), idx.end(), size_t{0});
-            std::sort(idx.begin(), idx.end(),
-                      [&](size_t a, size_t b) {
-                          const Request& qa = shard[r][a];
-                          const Request& qb = shard[r][b];
-                          if (qa.arrival != qb.arrival)
-                              return qa.arrival < qb.arrival;
-                          if (qa.id != qb.id)
-                              return qa.id < qb.id;
-                          return meta[r][a].attempt < meta[r][b].attempt;
-                      });
-            std::vector<Request> s2;
-            std::vector<Incarnation> m2;
-            s2.reserve(idx.size());
-            m2.reserve(idx.size());
-            for (size_t k : idx) {
-                s2.push_back(shard[r][k]);
-                m2.push_back(meta[r][k]);
-            }
-            shard[r] = std::move(s2);
-            meta[r] = std::move(m2);
-            todo.push_back(r);
-        }
+    // ---- co-simulation ------------------------------------------------
+    // Every replica steps to each barrier in turn (a fault-free run has
+    // none), then to completion, again whenever failover injected more
+    // work. Replica r always steps on worker r mod T; the coordinator
+    // touches the engines only between epochs.
+    const auto T = static_cast<size_t>(std::min(
+        cfg_.threads > 0 ? cfg_.threads : cfg_.replicas, cfg_.replicas));
+    auto epoch = [&](const std::function<void(size_t)>& job) {
+        forkJoin(T, [&](size_t t) {
+            for (size_t r = t; r < R; r += T)
+                job(r);
+        });
+    };
+    for (const dam::Cycle b : barriers) {
+        do
+            epoch([&](size_t r) { engines[r]->step(b); });
+        while (failover() > 0 && b == ReplicaFaultTimeline::kNoEvent);
     }
+    // Each engine finishes and is destroyed on its worker too, so the
+    // coroutine frames it frees land in that worker's pool, released when
+    // the thread exits; worker 0 is this thread, whose pool is trimmed.
+    epoch([&](size_t r) {
+        results[r].result = engines[r]->finish();
+        engines[r].reset();
+    });
+    FramePool::trim();
+    for (size_t r = 0; r < R; ++r)
+        results[r].assignedRequests = static_cast<int64_t>(work[r].size());
 
     // ---- reflect outcomes back to the caller -------------------------
-    // Every original request reports its *final* incarnation (highest
-    // attempt), with the original arrival restored so the caller's trace
-    // stays sorted; superseded incarnations must all have failed (the
-    // retry bookkeeping invariant).
-    struct Final
-    {
-        int64_t attempt = -1;
-        size_t replica = 0, slot = 0;
-    };
-    std::vector<Final> fin(reqs.size());
-    for (size_t r = 0; r < R; ++r)
+    // Each replica's summary reclassifies its handoffs. A superseded
+    // incarnation (one with a successor) ended Failed — a transparent
+    // retry, outside availability — or Migrated, which is transit. A
+    // final incarnation still Migrated was denied a target: a loss,
+    // counted Failed so availability closes over finished/failed/shed.
+    // Every original request then reports its final incarnation, with
+    // its original arrival restored.
+    for (size_t r = 0; r < R; ++r) {
+        ServingSummary& sum = results[r].result.summary;
         for (size_t k = 0; k < work[r].size(); ++k) {
-            const Incarnation& m = meta[r][k];
-            if (m.attempt > fin[m.orig].attempt)
-                fin[m.orig] = {m.attempt, r, k};
-        }
-    if (resilient || have_faults) {
-        // An incarnation's fate can legitimately flip between waves: a
-        // later wave's extra arrivals shift the bandwidth split, and a
-        // request that was mid-prefill at a drain edge (-> Migrated)
-        // may by then have finished, failed, or been shed. The same
-        // holds on the plain failover path — a retry landing on a
-        // replica changes its timeline, and the superseded incarnation
-        // re-simulated under that timeline can come out Finished. The
-        // per-wave issue log is therefore not a reliable accounting
-        // source; instead, every replica's summary is recomputed below
-        // from its *final* timeline, with superseded slots
-        // reinterpreted:
-        //   - Failed/Migrated with a successor: transparent handoff
-        //     (retried resp. migrated, outside availability);
-        //   - Finished/Shed with a successor: phantom duplicate — the
-        //     source would have stopped serving the moment the handoff
-        //     was issued, so the slot is dropped and the successor
-        //     carries the client-visible outcome.
-        // A *final* incarnation still in Migrated was denied a target
-        // (attempt cap, deadline, nothing healthy): a loss, converted
-        // to Failed so availability closes over finished/failed/shed.
-        for (size_t r = 0; r < R; ++r) {
-            int64_t retried = 0;
-            std::vector<Request> view;
-            view.reserve(work[r].size());
-            for (size_t k = 0; k < work[r].size(); ++k) {
-                Request q = work[r][k];
-                const Incarnation& m = meta[r][k];
-                if (m.attempt < fin[m.orig].attempt) {
-                    if (q.state == ReqState::Failed)
-                        ++retried; // counted as failover, not failure
-                    else if (q.state == ReqState::Migrated)
-                        view.push_back(q);
-                    continue;
-                }
-                if (q.state == ReqState::Migrated) {
-                    q.state = ReqState::Failed;
-                    work[r][k].state = ReqState::Failed;
-                }
-                view.push_back(q);
+            Request& q = work[r][k];
+            const Final& f = fin[origin[r][k]];
+            const bool superseded = f.replica != r || f.slot != k;
+            STEP_ASSERT(!superseded || q.state == ReqState::Failed ||
+                            q.state == ReqState::Migrated,
+                        "superseded request " << q.id << " did not hand off");
+            if (superseded && q.state == ReqState::Failed) {
+                --sum.failedRequests;
+                ++sum.retriedRequests;
+            } else if (!superseded && q.state == ReqState::Migrated) {
+                q.state = ReqState::Failed;
+                --sum.migratedRequests;
+                ++sum.failedRequests;
             }
-            ServingSummary& old = results[r].result.summary;
-            ServingSummary ns =
-                summarize(view, old.makespan, cfg_.engine.slo);
-            ns.retriedRequests = retried;
-            // Engine-attached fields survive the recompute untouched.
-            ns.computeUtilization = old.computeUtilization;
-            ns.prefixLookups = old.prefixLookups;
-            ns.prefixHits = old.prefixHits;
-            ns.prefixTokensSaved = old.prefixTokensSaved;
-            ns.prefixPeakOccupancyTokens =
-                old.prefixPeakOccupancyTokens;
-            ns.prefixPeakOccupancyMaxReplica =
-                old.prefixPeakOccupancyMaxReplica;
-            ns.counters = old.counters;
-            // Windowed-SLO telemetry describes the replica's actual
-            // final timeline, which the recompute does not change.
-            ns.sloWindows = old.sloWindows;
-            ns.sloWindowsAttained = old.sloWindowsAttained;
-            ns.sloWorstWindowP95Ttft = old.sloWorstWindowP95Ttft;
-            ns.sloWorstWindowP95Tpot = old.sloWorstWindowP95Tpot;
-            refreshPrefixDerivedStats(ns);
-            old = std::move(ns);
         }
+        refreshAvailability(sum);
     }
     for (size_t i = 0; i < reqs.size(); ++i) {
         const dam::Cycle arrival = reqs[i].arrival;
@@ -898,8 +783,6 @@ ServingCluster::run(std::vector<Request>& reqs)
     out.traces = std::move(traces);
     out.metrics = std::move(mregs);
     out.breakers = std::move(breakers);
-    out.retriesIssued = retries_issued;
-    out.migrationsIssued = migrations_issued;
     out.autoscale = std::move(autoscale);
     std::vector<ServingSummary> parts;
     parts.reserve(R);
@@ -909,6 +792,10 @@ ServingCluster::run(std::vector<Request>& reqs)
         out.totalIterations += rr.result.iterations;
     }
     out.aggregate = mergeSummaries(parts);
+    // Every injected incarnation superseded a Failed (retry) or a
+    // Migrated (migration) one, which the summaries count.
+    out.retriesIssued = out.aggregate.retriedRequests;
+    out.migrationsIssued = out.aggregate.migratedRequests;
     // Heterogeneous fleets provision sum(scale_r * bw) FLOPs/cycle; the
     // unscaled expression is kept verbatim so scale-less runs stay
     // bit-identical (no float round-trip).

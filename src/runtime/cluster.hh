@@ -13,9 +13,10 @@
  *
  * Determinism contract: routing is a pre-pass on the coordinating
  * thread, per-replica seeds are derived before workers spawn
- * (deriveSeed(replica_id)), every replica simulates independently, and
- * merging walks replicas in index order — so the aggregate is
- * bit-identical whether the replicas run on 1 worker thread or N.
+ * (deriveSeed(replica_id)), replicas exchange failover messages only at
+ * barriers, where the coordinating thread handles them in a fixed
+ * order, and merging walks replicas in index order — so the aggregate
+ * is bit-identical whether the replicas run on 1 worker thread or N.
  */
 #pragma once
 
@@ -128,8 +129,7 @@ struct ClusterConfig
      * written by exactly one worker, so recording needs no locks — and
      * hands them back in ClusterResult::traces, replica-index order.
      * Exporting that vector yields bytes independent of the thread
-     * count. Replicas re-simulated by a failover wave get a fresh sink,
-     * so exported traces always describe the final timeline.
+     * count. Each replica simulates once, so a trace is its timeline.
      */
     obs::TraceOptions trace;
     /**
@@ -140,9 +140,7 @@ struct ClusterConfig
      * instrument set into its replica's registry at iteration
      * boundaries, and ClusterResult hands back the per-replica
      * registries plus their replica-index-order merge — so the exported
-     * artifact is bit-identical whatever the thread count. Replicas
-     * re-simulated by a failover wave get a fresh registry, so metrics
-     * always describe the final timeline.
+     * artifact is bit-identical whatever the thread count.
      */
     obs::MetricsConfig metrics;
 };
@@ -164,7 +162,8 @@ struct ClusterResult
     UtilizationTimeline timeline;
     std::vector<ReplicaResult> replicas;
     int64_t totalIterations = 0;
-    /** Retry incarnations the failover waves issued (0 without faults). */
+    /** Retry incarnations failover issued (0 without faults); each
+     *  supersedes a Failed incarnation. */
     int64_t retriesIssued = 0;
     /** Migration incarnations the resilience tier issued (0 unless the
      *  tier is enabled and a slowdown drain fired). */
@@ -220,20 +219,24 @@ class ServingCluster
     ServingCluster(ClusterConfig cfg, const Policy& policy);
 
     /**
-     * Route @p reqs (sorted by arrival) across the replicas, run every
-     * replica's simulation to completion on the worker pool, and merge.
-     * Requests are mutated in place exactly as ServingEngine::run would
-     * (states, TTFT/finish stamps). With a fault plan, failover runs in
-     * deterministic waves: replicas simulate, crash casualties are
-     * collected in (fail-cycle, request) order and offered to the retry
-     * policy, granted retries are appended to their target replica's
-     * shard, and only the changed replicas re-simulate — until no new
-     * failure appears. A request that failed but was retried reports
-     * the final incarnation's outcome to the caller (original arrival
-     * kept, Request::attempt telling the story); its source replica's
-     * summary reclassifies it failed -> retried. Deterministic for
-     * fixed (config, policy, trace, global seed), independent of the
-     * thread count.
+     * Route @p reqs (sorted by arrival) across the replicas, co-simulate
+     * them on the worker pool, and merge. Requests are mutated in place
+     * exactly as ServingEngine::run would (states, TTFT/finish stamps).
+     * Each replica is one live engine, stepped on worker r mod T. With a
+     * fault plan, every replica steps to each barrier (a crash, a
+     * slowdown-drain edge, an arrival routed into a down replica); the
+     * coordinator then offers the newly Failed/Migrated incarnations,
+     * in (fail-cycle, prompt length, request, attempt) order, to the
+     * retry policy (or the migration cost model) and injects the granted
+     * ones into their targets: casualties of one crash re-arrive
+     * shortest prompt first. No replica is ever re-simulated, so each
+     * iteration runs
+     * once. A request that failed but was retried reports the final
+     * incarnation's outcome to the caller (original arrival kept,
+     * Request::attempt telling the story); its source replica's summary
+     * reclassifies it failed -> retried. Deterministic for fixed
+     * (config, policy, trace, global seed), independent of the thread
+     * count.
      */
     ClusterResult run(std::vector<Request>& reqs);
 
@@ -270,6 +273,8 @@ class ServingCluster
                    const std::vector<BreakerTimeline>* breakers) const;
     /** bwScales[r], or 1.0 for an unscaled fleet. */
     double bwScaleAt(size_t r) const;
+    /** Analytic prefill FLOPs per prompt token of the engine template. */
+    double flopsPerToken() const;
 
     ClusterConfig cfg_;
     const Policy& policy_;

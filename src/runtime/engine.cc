@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <deque>
 #include <optional>
 
 #include "obs/metrics.hh"
@@ -133,14 +134,60 @@ prefillFlopsPerToken(const ModelConfig& m, int64_t num_layers)
     return per_layer * num_layers;
 }
 
-int64_t
-ServingEngine::prefillFlopsPerToken() const
+/** State of one run, alive from begin() to finish(). */
+struct ServingEngine::Run
 {
-    return runtime::prefillFlopsPerToken(cfg_.model, cfg_.numLayers);
-}
+    Run(const BatcherConfig& c, uint64_t seed) : batcher(c), iterRng(seed) {}
+
+    std::vector<Request>* reqs = nullptr; ///< the begin() trace
+    /** Injected incarnations; a deque keeps their addresses stable. */
+    std::deque<Request> injected;
+    /** Every request by arrival; [0, nextArrival) are delivered. */
+    std::vector<Request*> arrivals;
+    size_t nextArrival = 0;
+
+    ContinuousBatcher batcher;
+    std::unique_ptr<PrefixCache> cache;
+    /** Stats of caches dropped by crashes, folded into the summary. */
+    PrefixCacheStats lostCacheStats;
+    EngineResult res;
+    /** The rearm handles outlive a run; finish() reports its share. */
+    uint64_t rearms0 = 0, retargets0 = 0, rebuilds0 = 0;
+    Rng iterRng;
+
+    /** metrics: the caller's registry, or this one for a trace only. */
+    std::optional<obs::MetricsRegistry> localMetrics;
+    obs::MetricsRegistry* metrics = nullptr;
+    std::optional<MetricsInstruments> mtr;
+    CounterViews views{};
+
+    std::vector<dam::Cycle> drainEdges; ///< see slowdownDrainEdges
+    size_t drainIdx = 0;
+    size_t instantIdx = 0; ///< next cfg_.clusterInstants to emit
+    size_t downIdx = 0;    ///< next unprocessed crash window
+    bool dead = false;     ///< a permanent crash was delivered
+    size_t terminal = 0;
+    dam::Cycle now = 0;
+
+    size_t total() const { return reqs->size() + injected.size(); }
+    Request* pending() const
+    {
+        return nextArrival < arrivals.size() ? arrivals[nextArrival] : nullptr;
+    }
+};
+
+ServingEngine::~ServingEngine() = default;
 
 EngineResult
 ServingEngine::run(std::vector<Request>& reqs)
+{
+    begin(reqs);
+    step(ReplicaFaultTimeline::kNoEvent);
+    return finish();
+}
+
+void
+ServingEngine::begin(std::vector<Request>& reqs)
 {
     STEP_ASSERT(std::is_sorted(reqs.begin(), reqs.end(),
                                [](const Request& a, const Request& b) {
@@ -148,65 +195,86 @@ ServingEngine::run(std::vector<Request>& reqs)
                                }),
                 "request trace must be sorted by arrival");
 
-    ContinuousBatcher batcher(cfg_.batcher);
+    run_ = std::make_unique<Run>(cfg_.batcher, cfg_.seed);
+    Run& s = *run_;
+    s.reqs = &reqs;
+    for (Request& r : reqs)
+        s.arrivals.push_back(&r);
     // Fresh cold cache per run: replays of one engine stay bit-identical.
-    std::unique_ptr<PrefixCache> cache;
     if (cfg_.prefixCache.capacityTokens > 0) {
-        cache = std::make_unique<PrefixCache>(cfg_.prefixCache);
-        batcher.attachPrefixCache(cache.get());
+        s.cache = std::make_unique<PrefixCache>(cfg_.prefixCache);
+        s.batcher.attachPrefixCache(s.cache.get());
     }
-    EngineResult res;
-    // The handles outlive a run; report this run's share of each path.
-    const uint64_t rearms0 = rearmHandles_.rearms;
-    const uint64_t retargets0 = rearmHandles_.retargets;
-    const uint64_t rebuilds0 = rearmHandles_.rebuilds;
-    Rng iter_rng(cfg_.seed);
-    const double fpt = static_cast<double>(prefillFlopsPerToken());
+    s.rearms0 = rearmHandles_.rearms;
+    s.retargets0 = rearmHandles_.retargets;
+    s.rebuilds0 = rearmHandles_.rebuilds;
 
     // Tracing: scheduler events only matter at level >= Op, so the
     // per-resume branch in dam::Scheduler::drain stays cold below it.
     sched_.setTraceSink(trace_ && trace_->level() >= obs::TraceLevel::Op
                             ? trace_
                             : nullptr);
-    // Every quantity is recorded once, into the caller's registry or,
-    // when only a trace is attached, a run-local one the trace's
-    // counter track reads.
-    std::optional<obs::MetricsRegistry> run_metrics;
-    obs::MetricsRegistry* metrics = metrics_;
-    if (!metrics && trace_)
-        metrics = &run_metrics.emplace();
-    std::optional<MetricsInstruments> mtr;
-    CounterViews views{};
-    if (metrics) {
-        mtr.emplace(*metrics);
-        views = counterViews(*mtr);
+    s.metrics = metrics_;
+    if (!s.metrics && trace_)
+        s.metrics = &s.localMetrics.emplace();
+    if (s.metrics) {
+        s.mtr.emplace(*s.metrics);
+        s.views = counterViews(*s.mtr);
     }
+    s.drainEdges = slowdownDrainEdges(cfg_.faults, cfg_.drain);
+}
 
-    // ---- fault tier ---------------------------------------------------
+void
+ServingEngine::inject(const Request& r)
+{
+    Run& s = *run_;
+    Request* q = &s.injected.emplace_back(r);
+    // Undelivered arrivals all lie ahead of the clock, so one stamped
+    // behind it lands first and is delivered at the next boundary.
+    s.arrivals.insert(
+        std::upper_bound(s.arrivals.begin() +
+                             static_cast<std::ptrdiff_t>(s.nextArrival),
+                         s.arrivals.end(), q->arrival,
+                         [](dam::Cycle at, const Request* p) {
+                             return at < p->arrival;
+                         }),
+        q);
+}
+
+size_t
+ServingEngine::requestCount() const
+{
+    return run_->total();
+}
+
+const Request&
+ServingEngine::request(size_t k) const
+{
+    const size_t n = run_->reqs->size();
+    return k < n ? (*run_->reqs)[k] : run_->injected[k - n];
+}
+
+void
+ServingEngine::step(dam::Cycle until)
+{
+    Run& s = *run_;
+    ContinuousBatcher& batcher = s.batcher;
+    std::unique_ptr<PrefixCache>& cache = s.cache;
+    EngineResult& res = s.res;
+    obs::MetricsRegistry* const metrics = s.metrics;
+    const std::optional<MetricsInstruments>& mtr = s.mtr;
+    dam::Cycle& now = s.now;
+    size_t& terminal = s.terminal;
+    const double fpt = static_cast<double>(
+        prefillFlopsPerToken(cfg_.model, cfg_.numLayers));
     const ReplicaFaultTimeline& faults = cfg_.faults;
     const bool have_faults = !faults.empty();
-    // Stats of caches dropped by crashes, folded into the summary tail.
-    PrefixCacheStats lostCacheStats;
-
-    // ---- resilience tier ---------------------------------------------
-    // Slowdown-drain edges: the cycle each qualifying slowdown window
-    // has been observed long enough to trigger live migration.
-    // Precomputed from the (already normalized, start-sorted) timeline —
-    // data, like the fault plan itself.
-    std::vector<dam::Cycle> drain_edges;
-    if (cfg_.drain.enabled)
-        for (const auto& s : faults.slowdowns)
-            if (s.factor <= cfg_.drain.openBelowFactor &&
-                s.end - s.start > cfg_.drain.detectCycles)
-                drain_edges.push_back(s.start + cfg_.drain.detectCycles);
-    size_t drain_idx = 0;
-    size_t instant_idx = 0; ///< next cfg_.clusterInstants to emit
+    const std::vector<dam::Cycle>& drain_edges = s.drainEdges;
 
     // Request completion: cache the full prompt+output stream (the next
     // turn of the session prefixes it), drop the admission pin, free the
     // KV reservation.
-    int64_t terminal = 0;
-    auto finish = [&](Request* r, dam::Cycle at) {
+    auto finishReq = [&](Request* r, dam::Cycle at) {
         r->state = ReqState::Finished;
         r->finishedAt = at;
         if (cache) {
@@ -276,11 +344,6 @@ ServingEngine::run(std::vector<Request>& reqs)
         2 + cfg_.attnRegions +
         (cfg_.moeRegions > 0 ? cfg_.moeRegions : cfg_.model.numExperts);
 
-    dam::Cycle now = 0;
-    size_t next_arrival = 0;
-    size_t down_idx = 0; ///< next unprocessed crash window
-    const auto total = static_cast<int64_t>(reqs.size());
-
     // Structured stall reporting: dump what was blocked and what held
     // the channels (KV reservations, cache pins), then unwind.
     auto buildStall = [&](std::string reason) {
@@ -303,7 +366,7 @@ ServingEngine::run(std::vector<Request>& reqs)
         return StallError(std::move(d));
     };
 
-    while (terminal < total) {
+    while (terminal < s.total()) {
         if (res.iterations >= kMaxIterations)
             throw buildStall("iteration bound exceeded without progress");
 
@@ -313,42 +376,41 @@ ServingEngine::run(std::vector<Request>& reqs)
         // is enqueued (and then dies with the replica), one after the
         // recovery enqueues into the restarted replica.
         while (true) {
-            const bool has_arr = next_arrival < reqs.size() &&
-                                 reqs[next_arrival].arrival <= now;
-            const bool has_crash = down_idx < faults.downs.size() &&
-                                   faults.downs[down_idx].failAt <= now;
+            Request* const next = s.pending();
+            const bool has_arr = next && next->arrival <= now;
+            const bool has_crash = s.downIdx < faults.downs.size() &&
+                                   faults.downs[s.downIdx].failAt <= now;
             // Resilience events interleave in cycle order; ties go to
             // them so the trace stamps the cause (breaker flip, drain
             // trigger) before its effects. With the tier disabled both
             // lists are empty and this is the historical loop verbatim.
             const dam::Cycle arr_at =
-                has_arr ? reqs[next_arrival].arrival
-                        : ReplicaFaultTimeline::kNoEvent;
+                has_arr ? next->arrival : ReplicaFaultTimeline::kNoEvent;
             const dam::Cycle crash_at =
-                has_crash ? faults.downs[down_idx].failAt
+                has_crash ? faults.downs[s.downIdx].failAt
                           : ReplicaFaultTimeline::kNoEvent;
             const bool has_instant =
-                instant_idx < cfg_.clusterInstants.size() &&
-                cfg_.clusterInstants[instant_idx].at <= now;
-            const bool has_drain = drain_idx < drain_edges.size() &&
-                                   drain_edges[drain_idx] <= now;
+                s.instantIdx < cfg_.clusterInstants.size() &&
+                cfg_.clusterInstants[s.instantIdx].at <= now;
+            const bool has_drain = s.drainIdx < drain_edges.size() &&
+                                   drain_edges[s.drainIdx] <= now;
             const dam::Cycle inst_at =
-                has_instant ? cfg_.clusterInstants[instant_idx].at
+                has_instant ? cfg_.clusterInstants[s.instantIdx].at
                             : ReplicaFaultTimeline::kNoEvent;
             const dam::Cycle drain_at =
-                has_drain ? drain_edges[drain_idx]
+                has_drain ? drain_edges[s.drainIdx]
                           : ReplicaFaultTimeline::kNoEvent;
             if (has_instant && inst_at <= arr_at && inst_at <= crash_at &&
                 inst_at <= drain_at) {
                 const ClusterInstant& ci =
-                    cfg_.clusterInstants[instant_idx++];
+                    cfg_.clusterInstants[s.instantIdx++];
                 if (trace_) [[unlikely]]
                     trace_->instant(clusterInstantName(ci.kind), ci.at,
                                     -1, ci.value);
                 continue;
             }
             if (has_drain && drain_at <= arr_at && drain_at <= crash_at) {
-                const dam::Cycle at = drain_edges[drain_idx++];
+                const dam::Cycle at = drain_edges[s.drainIdx++];
                 // Queued and prefilling requests leave for a healthy
                 // replica; decoding requests stay and finish locally at
                 // the degraded bandwidth (shipping a half-generated
@@ -369,20 +431,21 @@ ServingEngine::run(std::vector<Request>& reqs)
                 }
                 continue;
             }
-            if (has_arr &&
-                (!has_crash || reqs[next_arrival].arrival <=
-                                   faults.downs[down_idx].failAt)) {
-                Request& r = reqs[next_arrival++];
+            if (has_arr && (!has_crash || next->arrival <= crash_at)) {
+                Request& r = *next;
+                ++s.nextArrival;
                 if (trace_) [[unlikely]]
                     trace_->reqArrived(r.id, r.sessionId, r.turn,
                                        r.promptLen, r.outputLen, r.arrival,
                                        r.attempt);
                 if (mtr && r.attempt > 0) [[unlikely]]
                     metrics->record(mtr->retried, r.arrival, 1);
-                if (have_faults && faults.downAt(r.arrival)) {
+                if (have_faults && (s.dead || faults.downAt(r.arrival))) {
                     // Connection refused: the replica was down when the
-                    // request arrived.
-                    failReq(&r, r.arrival);
+                    // request arrived. A late-injected one delivered
+                    // after a permanent crash arrived while the replica
+                    // lived, so it dies with the crash, at its boundary.
+                    failReq(&r, s.dead ? now : r.arrival);
                 } else {
                     batcher.enqueue(&r);
                 }
@@ -390,7 +453,7 @@ ServingEngine::run(std::vector<Request>& reqs)
             }
             if (has_crash) {
                 const ReplicaFaultTimeline::Down w =
-                    faults.downs[down_idx++];
+                    faults.downs[s.downIdx++];
                 if (trace_) [[unlikely]]
                     trace_->faultDown(now, w.failAt, w.recoverAt);
                 if (mtr) [[unlikely]]
@@ -422,12 +485,12 @@ ServingEngine::run(std::vector<Request>& reqs)
                     // fold its stats away and restart cold, so
                     // re-routed requests re-prefill from scratch.
                     const PrefixCacheStats& st = cache->stats();
-                    lostCacheStats.lookups += st.lookups;
-                    lostCacheStats.hits += st.hits;
-                    lostCacheStats.tokensSaved += st.tokensSaved;
-                    lostCacheStats.peakOccupancyTokens =
-                        std::max(lostCacheStats.peakOccupancyTokens,
-                                 st.peakOccupancyTokens);
+                    PrefixCacheStats& lost = s.lostCacheStats;
+                    lost.lookups += st.lookups;
+                    lost.hits += st.hits;
+                    lost.tokensSaved += st.tokensSaved;
+                    lost.peakOccupancyTokens = std::max(
+                        lost.peakOccupancyTokens, st.peakOccupancyTokens);
                     cache = std::make_unique<PrefixCache>(
                         cfg_.prefixCache);
                     batcher.attachPrefixCache(cache.get());
@@ -435,8 +498,10 @@ ServingEngine::run(std::vector<Request>& reqs)
                 if (w.recoverAt == 0) {
                     // Dead forever: every remaining arrival is refused
                     // the moment it shows up.
-                    while (next_arrival < reqs.size()) {
-                        Request& r = reqs[next_arrival++];
+                    s.dead = true;
+                    while (Request* p = s.pending()) {
+                        Request& r = *p;
+                        ++s.nextArrival;
                         if (trace_) [[unlikely]]
                             trace_->reqArrived(r.id, r.sessionId, r.turn,
                                                r.promptLen, r.outputLen,
@@ -458,8 +523,10 @@ ServingEngine::run(std::vector<Request>& reqs)
             }
             break;
         }
-        if (terminal >= total)
+        if (terminal >= s.total())
             break;
+        if (now >= until)
+            return;
 
         // Slowdown windows scale the bandwidth pool this iteration
         // splits (>= 2 so the policy can always split something).
@@ -513,11 +580,11 @@ ServingEngine::run(std::vector<Request>& reqs)
                 throw buildStall(
                     "head-of-line request can never be admitted");
             }
-            if (terminal >= total)
+            if (terminal >= s.total())
                 break;
-            if (next_arrival >= reqs.size())
+            if (!s.pending())
                 throw buildStall("idle with unfinished requests");
-            now = reqs[next_arrival].arrival;
+            now = std::min(s.pending()->arrival, until);
             continue;
         }
 
@@ -550,7 +617,7 @@ ServingEngine::run(std::vector<Request>& reqs)
             for (Request* r : decodes)
                 spec.kvLens.push_back(r->contextLen());
             spec.trace = generateExpertTrace(
-                iter_rng, static_cast<int64_t>(decodes.size()),
+                s.iterRng, static_cast<int64_t>(decodes.size()),
                 cfg_.model.numExperts, cfg_.model.topK);
             dp.batch = static_cast<int64_t>(decodes.size());
             dp.computeBwPerMatmul = std::max<int64_t>(
@@ -595,8 +662,8 @@ ServingEngine::run(std::vector<Request>& reqs)
             iter_cycles = static_cast<dam::Cycle>(std::ceil(
                 remaining / static_cast<double>(split.prefillBw)));
             iter_cycles = std::max<dam::Cycle>(1, iter_cycles);
-            if (next_arrival < reqs.size()) {
-                dam::Cycle gap = reqs[next_arrival].arrival - now;
+            if (const Request* next = s.pending()) {
+                dam::Cycle gap = next->arrival - now;
                 iter_cycles = std::max<dam::Cycle>(
                     1, std::min(iter_cycles, gap));
             }
@@ -610,17 +677,19 @@ ServingEngine::run(std::vector<Request>& reqs)
             }
             // ... and on resilience edges (drain triggers, cluster
             // instants), for the same exact-cycle reason.
-            if (drain_idx < drain_edges.size() &&
-                drain_edges[drain_idx] > now)
+            if (s.drainIdx < drain_edges.size() &&
+                drain_edges[s.drainIdx] > now)
                 iter_cycles = std::max<dam::Cycle>(
                     1, std::min(iter_cycles,
-                                drain_edges[drain_idx] - now));
-            if (instant_idx < cfg_.clusterInstants.size() &&
-                cfg_.clusterInstants[instant_idx].at > now)
+                                drain_edges[s.drainIdx] - now));
+            if (s.instantIdx < cfg_.clusterInstants.size() &&
+                cfg_.clusterInstants[s.instantIdx].at > now)
                 iter_cycles = std::max<dam::Cycle>(
                     1, std::min(iter_cycles,
-                                cfg_.clusterInstants[instant_idx].at -
+                                cfg_.clusterInstants[s.instantIdx].at -
                                     now));
+            // ... and on the step's end (until > now here).
+            iter_cycles = std::min(iter_cycles, until - now);
         }
 
         // ---- prefill progress (FIFO, analytic) ----------------------
@@ -667,7 +736,7 @@ ServingEngine::run(std::vector<Request>& reqs)
                 if (cache)
                     cache->insert(r->blockHashes, r->promptBlocks);
                 if (r->generated >= r->outputLen)
-                    finish(r, r->firstTokenAt);
+                    finishReq(r, r->firstTokenAt);
             }
         }
 
@@ -675,7 +744,7 @@ ServingEngine::run(std::vector<Request>& reqs)
         for (Request* r : decodes) {
             r->generated += 1;
             if (r->generated >= r->outputLen)
-                finish(r, now + iter_cycles);
+                finishReq(r, now + iter_cycles);
         }
 
         // ---- accounting ---------------------------------------------
@@ -717,25 +786,36 @@ ServingEngine::run(std::vector<Request>& reqs)
             metrics->record(mtr->iterCycles, now, iter_cycles);
             metrics->record(mtr->contextSwitches, now, context_switches);
             if (trace_)
-                trace_->sampleCounters(now, *metrics, views);
+                trace_->sampleCounters(now, *metrics, s.views);
         }
     }
 
+}
+
+EngineResult
+ServingEngine::finish()
+{
+    Run& s = *run_;
+    EngineResult& res = s.res;
+    const std::unique_ptr<PrefixCache>& cache = s.cache;
     // Abort-path accounting invariant: every KV reservation and prefix
     // pin taken during the run — including ones for requests that
     // failed or were shed — must have been returned.
-    STEP_ASSERT(batcher.kvBytesReserved() == 0,
-                "run ended with " << batcher.kvBytesReserved()
+    STEP_ASSERT(s.batcher.kvBytesReserved() == 0,
+                "run ended with " << s.batcher.kvBytesReserved()
                                   << " B of KV still reserved");
     if (cache)
         STEP_ASSERT(cache->pinnedRequests() == 0,
                     "run ended with " << cache->pinnedRequests()
                                       << " prefix-cache pins held");
 
-    res.graphRearms = rearmHandles_.rearms - rearms0;
-    res.graphRetargets = rearmHandles_.retargets - retargets0;
-    res.graphRebuilds += rearmHandles_.rebuilds - rebuilds0;
+    res.graphRearms = rearmHandles_.rearms - s.rearms0;
+    res.graphRetargets = rearmHandles_.retargets - s.retargets0;
+    res.graphRebuilds += rearmHandles_.rebuilds - s.rebuilds0;
 
+    std::vector<Request>& reqs = *s.reqs;
+    reqs.insert(reqs.end(), std::make_move_iterator(s.injected.begin()),
+                std::make_move_iterator(s.injected.end()));
     res.summary = summarize(reqs, res.timeline.span(), cfg_.slo);
     res.summary.computeUtilization =
         res.timeline.computeUtilization(cfg_.totalComputeBw);
@@ -743,11 +823,12 @@ ServingEngine::run(std::vector<Request>& reqs)
         // Fold in caches lost to crashes: their lookups/hits happened
         // even though their content died with the replica.
         PrefixCacheStats st = cache->stats();
-        st.lookups += lostCacheStats.lookups;
-        st.hits += lostCacheStats.hits;
-        st.tokensSaved += lostCacheStats.tokensSaved;
-        st.peakOccupancyTokens = std::max(
-            st.peakOccupancyTokens, lostCacheStats.peakOccupancyTokens);
+        const PrefixCacheStats& lost = s.lostCacheStats;
+        st.lookups += lost.lookups;
+        st.hits += lost.hits;
+        st.tokensSaved += lost.tokensSaved;
+        st.peakOccupancyTokens =
+            std::max(st.peakOccupancyTokens, lost.peakOccupancyTokens);
         res.summary.prefixLookups = st.lookups;
         res.summary.prefixHits = st.hits;
         res.summary.prefixTokensSaved = st.tokensSaved;
@@ -759,10 +840,12 @@ ServingEngine::run(std::vector<Request>& reqs)
         refreshPrefixDerivedStats(res.summary);
     }
     if (trace_)
-        res.summary.counters = obs::snapshotCounters(*metrics, views);
+        res.summary.counters = obs::snapshotCounters(*s.metrics, s.views);
     if (metrics_)
         applySloWindows(res.summary, *metrics_, cfg_.slo);
-    return res;
+    EngineResult out = std::move(res);
+    run_.reset();
+    return out;
 }
 
 } // namespace step::runtime

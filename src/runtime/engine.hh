@@ -161,6 +161,7 @@ class ServingEngine
 {
   public:
     ServingEngine(EngineConfig cfg, const Policy& policy);
+    ~ServingEngine();
 
     /**
      * Serve @p reqs (mutated in place: states, TTFT/finish stamps) until
@@ -170,16 +171,28 @@ class ServingEngine
      * trace). Throws StallError (with a scheduler-state diagnostic)
      * when no admission progress is possible, e.g. a head-of-line
      * request that can never fit the KV budget with no admission policy
-     * attached to shed it.
+     * attached to shed it. Exactly begin(reqs), step(kNoEvent), finish().
      */
     EngineResult run(std::vector<Request>& reqs);
 
-    /**
-     * Analytic prefill cost of one prompt token across all layers
-     * (QKV + output projections and the top-K expert FFN; prompt
-     * attention is projection-dominated and left out of the model).
-     */
-    int64_t prefillFlopsPerToken() const;
+    // ---- the steppable run, for a coordinator pausing engines ----------
+    /** Start a run over @p reqs (sorted by arrival), mutated in place
+     *  until finish(): the batcher holds pointers, so keep the vector
+     *  alive and unresized. */
+    void begin(std::vector<Request>& reqs);
+    /** Run to the first iteration boundary at or after @p until (or to
+     *  completion) and deliver everything due there. Analytic prefill
+     *  iterations and idle waits stop at @p until; decode may overshoot. */
+    void step(dam::Cycle until);
+    /** Add an incarnation arriving at r.arrival; one stamped behind the
+     *  clock is delivered at the next boundary and keeps its stamp. */
+    void inject(const Request& r);
+    /** Check the end-of-run invariants, append the injected incarnations
+     *  to the begin() vector in injection order, and summarize it. */
+    EngineResult finish();
+    /** The run's requests: the begin() vector, then the injected ones. */
+    size_t requestCount() const;
+    const Request& request(size_t k) const;
 
     /**
      * Attach (or detach, with nullptr) a trace sink. run() then reports
@@ -208,6 +221,8 @@ class ServingEngine
     obs::MetricsRegistry* metrics() const { return metrics_; }
 
   private:
+    struct Run; ///< state of the run between begin() and finish()
+
     EngineConfig cfg_;
     const Policy& policy_;
     obs::TraceSink* trace_ = nullptr;
@@ -219,6 +234,7 @@ class ServingEngine
      *  patch the armed graph in place, whatever the decode batch size,
      *  instead of rebuilding it. */
     DecoderRearmHandles rearmHandles_;
+    std::unique_ptr<Run> run_;
 };
 
 } // namespace step::runtime

@@ -174,11 +174,10 @@ class PrefixCache
     std::unordered_map<uint64_t, Node*> byId_;
     /** Deepest pinned node per admitted request id. */
     /**
-     * Pins key on the incarnation object, not the request id: fault-
-     * tier re-simulation can leave a superseded incarnation and its
-     * successor concurrently admitted on one replica (the phantom-
-     * duplicate case the cluster's accounting drops), and each must
-     * hold its own pin.
+     * Pins key on the incarnation object, not the request id: one
+     * request can pass through a replica as several incarnations (a
+     * retry or migration landing back where it failed), and each holds
+     * its own pin.
      */
     std::unordered_map<const Request*, Node*> pinned_;
 };

@@ -67,6 +67,19 @@ computeBreakerTimeline(const ReplicaFaultTimeline& t,
     return b;
 }
 
+std::vector<dam::Cycle>
+slowdownDrainEdges(const ReplicaFaultTimeline& timeline,
+                   const SlowdownDrainConfig& drain)
+{
+    std::vector<dam::Cycle> edges;
+    if (drain.enabled)
+        for (const auto& s : timeline.slowdowns)
+            if (s.factor <= drain.openBelowFactor &&
+                s.end - s.start > drain.detectCycles)
+                edges.push_back(s.start + drain.detectCycles);
+    return edges;
+}
+
 // ---- telemetry-inferred breakers ---------------------------------------
 
 bool
@@ -322,7 +335,7 @@ pickResilientTarget(const std::vector<int64_t>& load,
                     dam::Cycle at, int64_t affinityOwner,
                     double affinityLoadFactor,
                     double halfOpenLoadPenalty,
-                    const std::vector<double>* bwScales)
+                    const std::vector<double>* bwScales, int64_t tokens)
 {
     const int64_t n = int64_t(load.size());
     const int64_t active = autoscaleActiveAt(autoscale, at, n);
@@ -376,7 +389,7 @@ pickResilientTarget(const std::vector<int64_t>& load,
         if (bwScales && r < int64_t(bwScales->size()) &&
             (*bwScales)[size_t(r)] > 0.0)
             factor *= (*bwScales)[size_t(r)];
-        double score = double(load[r]) / factor;
+        double score = double(load[r] + tokens) / factor;
         if (r < int64_t(breakers.size()) &&
             breakers[r].stateAt(at) == BreakerState::HalfOpen)
             score *= halfOpenLoadPenalty;

@@ -1,7 +1,7 @@
 /**
  * @file
  * Resilient cluster tier: the recovery/placement policies that turn the
- * fault tier's *detection* machinery (FaultPlan, failover waves) into
+ * fault tier's *detection* machinery (FaultPlan, co-simulated failover) into
  * graceful degradation. Four pieces, all seeded-deterministic:
  *
  *  - Circuit breakers: per-replica health timelines precomputed from the
@@ -32,9 +32,9 @@
  *
  * Everything here is a pure pre-pass or a pure function of its
  * arguments: breaker timelines, autoscale steps, and placement
- * decisions are computed on the coordinating thread before (or
- * between) replica simulations, so faulty runs stay bit-identical
- * across replays and worker-thread counts.
+ * decisions are computed on the coordinating thread before the replica
+ * simulations or at their failover barriers, so faulty runs stay
+ * bit-identical across replays and worker-thread counts.
  */
 #pragma once
 
@@ -221,6 +221,15 @@ struct SlowdownDrainConfig
     double openBelowFactor = 0.75;
 };
 
+/**
+ * The cycles at which @p drain fires on @p timeline (empty when it is
+ * disabled): one per slowdown at or below openBelowFactor that outlasts
+ * the detection lag, at its start + detectCycles, in timeline order.
+ */
+std::vector<dam::Cycle>
+slowdownDrainEdges(const ReplicaFaultTimeline& timeline,
+                   const SlowdownDrainConfig& drain);
+
 // ---- cross-replica prefix reuse ---------------------------------------
 
 struct RemotePrefixConfig
@@ -333,11 +342,13 @@ int64_t autoscaleActiveAt(const std::vector<AutoscaleStep>& steps,
  * candidate). The cache-affinity owner wins while its load is at most
  * affinityLoadFactor x the least-loaded candidate's; otherwise the
  * lowest health-scored load wins, where a candidate's score is its
- * assigned load scaled up by its current slowdown (1/bwFactor) and the
- * half-open penalty, and scaled down by its static capacity scale
- * (@p bwScales; null or short = 1.0 — a 2x replica absorbs 2x the
- * queue). Ties break to the lowest index. Returns -1 when no replica
- * is alive. Pure function of its arguments.
+ * assigned load plus the @p tokens being placed, scaled up by its
+ * current slowdown (1/bwFactor) and the half-open penalty, and scaled
+ * down by its static capacity scale (@p bwScales; null or short = 1.0
+ * — a 2x replica absorbs 2x the queue). Counting the placed tokens
+ * keeps the penalty biting on an idle half-open replica. Ties break to
+ * the lowest index. Returns -1 when no replica is alive. Pure function
+ * of its arguments.
  */
 int64_t pickResilientTarget(
     const std::vector<int64_t>& load, const FaultPlan& plan,
@@ -345,7 +356,7 @@ int64_t pickResilientTarget(
     const std::vector<AutoscaleStep>& autoscale, dam::Cycle at,
     int64_t affinityOwner, double affinityLoadFactor,
     double halfOpenLoadPenalty,
-    const std::vector<double>* bwScales = nullptr);
+    const std::vector<double>* bwScales = nullptr, int64_t tokens = 0);
 
 // ---- cluster-level instants -------------------------------------------
 

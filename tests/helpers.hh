@@ -1,19 +1,21 @@
 /**
  * @file
- * Shared test helpers: compact constructors for value tokens and a
+ * Shared test helpers: compact constructors for value tokens, a
  * one-operator harness that runs Source -> Op -> Sink and returns the
- * captured output stream.
+ * captured output stream, and a call-counting serving policy.
  */
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <vector>
 
 #include "core/codec.hh"
 #include "core/token.hh"
 #include "ops/graph.hh"
 #include "ops/source_sink.hh"
+#include "runtime/policy.hh"
 
 namespace step::test {
 
@@ -82,6 +84,30 @@ struct SingleOpResult
 {
     std::vector<Token> toks;
     SimResult sim;
+};
+
+/**
+ * Policy decorator counting split() calls. The engine consults its
+ * policy exactly once per iteration it simulates, so the count is the
+ * number of simulated iterations, across all engines and threads.
+ */
+class CountingPolicy final : public runtime::Policy
+{
+  public:
+    explicit CountingPolicy(const runtime::Policy& inner) : inner_(inner) {}
+
+    std::string name() const override { return inner_.name(); }
+    runtime::BwSplit
+    split(const runtime::LoadSnapshot& load, int64_t total_bw) const override
+    {
+        calls_.fetch_add(1, std::memory_order_relaxed);
+        return inner_.split(load, total_bw);
+    }
+    int64_t calls() const { return calls_.load(); }
+
+  private:
+    const runtime::Policy& inner_;
+    mutable std::atomic<int64_t> calls_{0};
 };
 
 } // namespace step::test

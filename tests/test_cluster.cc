@@ -385,6 +385,57 @@ TEST(Cluster, PerReplicaSeedsDeriveFromReplicaIdAndDecorrelate)
     EXPECT_EQ(seeds.size(), 4u); // decorrelated, not copies of the base
 }
 
+TEST(Cluster, FaultFreeReplicasMatchStandaloneEnginesOnTheirShards)
+{
+    // Without a fault plan the co-simulation has no barrier: each
+    // replica runs to completion in one step, bit-identical to a
+    // standalone engine over its routed shard — resilience tier off or
+    // on (plan breakers, all closed without faults).
+    TraceConfig tc = skewedTrace(0);
+    tc.numSessions = 16;
+    tc.turnsPerSession = 3;
+    QueueDepthPolicy policy;
+    for (bool resilient : {false, true}) {
+        for (RouteKind routing : {RouteKind::RoundRobin,
+                                  RouteKind::LeastQueued,
+                                  RouteKind::PrefixAffinity}) {
+            SCOPED_TRACE(routeKindName(routing) +
+                         (resilient ? " resilient" : ""));
+            ClusterConfig cc;
+            cc.replicas = 3;
+            cc.routing = routing;
+            cc.engine.prefixCache.capacityTokens = 1 << 16;
+            cc.resilience.enabled = resilient;
+            const auto trace = generateTrace(tc, 5);
+            ServingCluster cluster(cc, policy);
+            const std::vector<int64_t> route = cluster.routeTrace(trace);
+            auto reqs = trace;
+            const ClusterResult r = cluster.run(reqs);
+            ASSERT_EQ(r.replicas.size(), 3u);
+            for (const ReplicaResult& rr : r.replicas) {
+                std::vector<Request> shard;
+                for (size_t i = 0; i < trace.size(); ++i)
+                    if (route[i] == rr.replica)
+                        shard.push_back(trace[i]);
+                EngineConfig ec = cc.engine;
+                ec.seed = deriveSeed(static_cast<uint64_t>(rr.replica));
+                const EngineResult e = ServingEngine(ec, policy).run(shard);
+                EXPECT_EQ(rr.result.iterations, e.iterations);
+                EXPECT_EQ(rr.result.timeline.span(), e.timeline.span());
+                expectSummariesBitIdentical(rr.result.summary, e.summary);
+                const ServingSummary& a = rr.result.summary;
+                EXPECT_EQ(a.failedRequests, e.summary.failedRequests);
+                EXPECT_EQ(a.shedRequests, e.summary.shedRequests);
+                EXPECT_EQ(a.availability, e.summary.availability);
+                EXPECT_EQ(a.promptTokens, e.summary.promptTokens);
+                EXPECT_EQ(a.prefixHits, e.summary.prefixHits);
+                EXPECT_EQ(a.prefixTokensSaved, e.summary.prefixTokensSaved);
+                EXPECT_EQ(a.prefixHitRate, e.summary.prefixHitRate);
+            }
+        }
+    }
+}
+
 // ---- heterogeneous replica capacity ------------------------------------
 
 TEST(Cluster, MixedFleetBwScalesShiftLoadTowardFastReplicas)

@@ -6,13 +6,16 @@
  * deadline-aware shedding policies, cluster failover with availability
  * accounting, summary merging of the fault counters (NaN-free with
  * zero-fault and fully-failed replicas), thread-count invariance of
- * faulty runs, and the structured StallError diagnostic that replaced
- * the engine's fatal idle assert.
+ * faulty runs, the structured StallError diagnostic that replaced the
+ * engine's fatal idle assert, the co-simulation's one-run-per-replica
+ * oracle, and late injection into a running engine.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
+#include "helpers.hh"
 #include "runtime/cluster.hh"
 #include "support/error.hh"
 #include "support/rng.hh"
@@ -660,6 +663,29 @@ TEST(ClusterFaults, RouterAvoidsRepicasDownAtArrival)
     EXPECT_EQ(res.aggregate.failedRequests, 0);
 }
 
+TEST(ClusterFaults, SimultaneousCasualtiesRetryShortestPromptFirst)
+{
+    // Round-robin puts the odd ids on replica 1, longest prompt first;
+    // replica 1 then dies for good with all four still prefilling.
+    std::vector<Request> reqs;
+    for (int64_t i = 0; i < 8; ++i)
+        reqs.push_back(mkReq(i, i, 400 - 40 * i, 4));
+    QueueDepthPolicy policy;
+    ClusterConfig cc;
+    cc.replicas = 2;
+    cc.routing = RouteKind::RoundRobin;
+    cc.faults.crashes.push_back({1, 1'000, 0});
+    ClusterResult res = ServingCluster(cc, policy).run(reqs);
+    EXPECT_EQ(res.aggregate.completed, 8);
+    // The four retries re-arrive together on replica 0, queued shortest
+    // prompt first, so their first tokens come in that order.
+    for (size_t i = 1; i < 8; i += 2)
+        EXPECT_EQ(reqs[i].attempt, 1) << "request " << i;
+    for (size_t i = 3; i < 8; i += 2)
+        EXPECT_LT(reqs[i].firstTokenAt, reqs[i - 2].firstTokenAt)
+            << "request " << i;
+}
+
 // ---- summary merging ---------------------------------------------------
 
 TEST(Metrics, MergeFaultCountersAcrossHealthyAndDeadReplicas)
@@ -767,4 +793,160 @@ TEST(ClusterFaults, SeededMtbfPlanConvergesSupersededIncarnations)
                       r.aggregate.shedRequests,
                   480);
     }
+}
+
+// ---- co-simulation oracles ---------------------------------------------
+
+namespace {
+
+/** The SeededMtbfPlanConvergesSupersededIncarnations trace and plan. */
+std::pair<TraceConfig, FaultPlan>
+seededMtbfScenario()
+{
+    TraceConfig tc;
+    tc.numRequests = 480;
+    tc.arrivalsPerKcycle = 0.0048;
+    tc.burstPeriod = 16'000'000;
+    tc.burstDuty = 0.3;
+    tc.burstFactor = 4.0;
+    tc.promptSigma = 1.1;
+    tc.outputSigma = 0.9;
+    const auto probe = generateTrace(tc, deriveSeed(2));
+    FaultPlanConfig fc;
+    fc.mtbfCycles = 32'000'000;
+    fc.mttrCycles = 8'000'000;
+    fc.horizonCycles = probe.back().arrival * 2;
+    return {tc, generateFaultPlan(fc, 4, deriveSeed(3))};
+}
+
+} // namespace
+
+TEST(ClusterFaults, FailoverSimulatesEveryIterationOnce)
+{
+    // Every replica runs once, paused at barriers but never re-run: the
+    // policy is consulted once per iteration on the final timelines.
+    TraceConfig tc = clusterTrace(120);
+    QueueDepthPolicy inner;
+    ClusterConfig cc;
+    cc.replicas = 4;
+    cc.routing = RouteKind::LeastQueued;
+    auto probe_reqs = generateTrace(tc, deriveSeed(2));
+    const dam::Cycle makespan =
+        ServingCluster(cc, inner).run(probe_reqs).aggregate.makespan;
+    cc.faults.crashes.push_back({1, makespan * 2 / 5, 0});
+
+    test::CountingPolicy policy(inner);
+    auto reqs = generateTrace(tc, deriveSeed(2));
+    ClusterResult r = ServingCluster(cc, policy).run(reqs);
+    EXPECT_GT(r.retriesIssued, 0);
+    EXPECT_EQ(policy.calls(), r.totalIterations);
+}
+
+TEST(ClusterFaults, SeededMtbfPlanSimulatesEveryIterationOnce)
+{
+    auto [tc, plan] = seededMtbfScenario();
+    QueueDepthPolicy inner;
+    ClusterConfig cc;
+    cc.replicas = 4;
+    cc.faults = plan;
+    for (RouteKind routing : {RouteKind::RoundRobin,
+                              RouteKind::LeastQueued,
+                              RouteKind::HashAffinity}) {
+        SCOPED_TRACE(routeKindName(routing));
+        cc.routing = routing;
+        test::CountingPolicy policy(inner);
+        auto reqs = generateTrace(tc, deriveSeed(2));
+        ClusterResult r = ServingCluster(cc, policy).run(reqs);
+        EXPECT_GT(r.retriesIssued, 0);
+        EXPECT_EQ(policy.calls(), r.totalIterations);
+    }
+}
+
+TEST(EngineFaults, LateInjectionIsServedFromTheNextBoundary)
+{
+    EngineConfig ec;
+    ec.prefixCache.capacityTokens = 1 << 16;
+    QueueDepthPolicy policy;
+    TraceConfig tc = burstyTrace(12);
+    auto trace = generateTrace(tc, 7);
+
+    // The oracle: run() over the trace, unchanged by the step API.
+    auto whole = trace;
+    const EngineResult ref = ServingEngine(ec, policy).run(whole);
+
+    // Pausing at an arrival cycle, where the engine has a boundary
+    // anyway, perturbs nothing.
+    const dam::Cycle pause = trace[trace.size() / 2].arrival;
+    auto paused = trace;
+    ServingEngine stepped(ec, policy);
+    stepped.begin(paused);
+    stepped.step(pause);
+    stepped.step(ReplicaFaultTimeline::kNoEvent);
+    const EngineResult same = stepped.finish();
+    EXPECT_EQ(same.iterations, ref.iterations);
+    EXPECT_EQ(same.timeline.span(), ref.timeline.span());
+    EXPECT_EQ(same.summary.ttftSamples, ref.summary.ttftSamples);
+    EXPECT_EQ(same.summary.tpotSamples, ref.summary.tpotSamples);
+
+    // Pause there again, then inject an incarnation stamped well behind
+    // the engine's clock.
+    auto reqs = trace;
+    ServingEngine engine(ec, policy);
+    engine.begin(reqs);
+    engine.step(pause);
+    Request late = mkReq(1000, pause / 2, 64, 8);
+    late.attempt = 1;
+    engine.inject(late);
+    ASSERT_EQ(engine.requestCount(), reqs.size() + 1);
+    engine.step(ReplicaFaultTimeline::kNoEvent);
+    const EngineResult r = engine.finish(); // asserts KV and pin closure
+
+    ASSERT_EQ(reqs.size(), trace.size() + 1);
+    const Request& q = reqs.back();
+    EXPECT_EQ(q.id, 1000);
+    EXPECT_EQ(q.arrival, pause / 2); // the stamp is kept...
+    EXPECT_EQ(q.state, ReqState::Finished);
+    EXPECT_GE(q.firstTokenAt, pause); // ...and served only after it
+    expectAllAccounted(reqs, r.summary);
+    EXPECT_EQ(r.summary.completed, ref.summary.completed + 1);
+    // Its TTFT sample includes the wait behind the clock.
+    EXPECT_NE(std::find(r.summary.ttftSamples.begin(),
+                        r.summary.ttftSamples.end(),
+                        static_cast<double>(q.firstTokenAt - q.arrival)),
+              r.summary.ttftSamples.end());
+    EXPECT_GE(q.firstTokenAt - q.arrival, pause - pause / 2);
+}
+
+TEST(EngineFaults, InjectionIntoADeadReplicaFailsWithTheCrash)
+{
+    TraceConfig tc = burstyTrace(12);
+    auto reqs = generateTrace(tc, 7);
+    // A permanent crash mid-trace: the engine runs to its death.
+    const dam::Cycle crash = reqs[reqs.size() / 2].arrival + 1;
+    EngineConfig ec;
+    ec.faults.downs.push_back({crash, 0});
+    QueueDepthPolicy policy;
+    ServingEngine engine(ec, policy);
+    engine.begin(reqs);
+    engine.step(ReplicaFaultTimeline::kNoEvent);
+
+    // An incarnation placed while the replica still lived, delivered
+    // only after the crash: it dies with the crash, never before it.
+    Request late = mkReq(1000, crash - 1, 64, 8);
+    late.attempt = 1;
+    engine.inject(late);
+    engine.step(ReplicaFaultTimeline::kNoEvent);
+    const EngineResult r = engine.finish();
+
+    const Request& q = reqs.back();
+    ASSERT_EQ(q.id, 1000);
+    EXPECT_EQ(q.state, ReqState::Failed);
+    EXPECT_EQ(q.arrival, crash - 1);
+    EXPECT_GE(q.finishedAt, crash);
+    for (const Request& c : reqs) {
+        if (c.state == ReqState::Failed && c.arrival < crash) {
+            EXPECT_GE(q.finishedAt, c.finishedAt) << "request " << c.id;
+        }
+    }
+    expectAllAccounted(reqs, r.summary);
 }

@@ -8,12 +8,14 @@
  * and the cluster acceptance criteria: under a crash+slowdown plan the
  * tier beats plain failover on tail latency without losing availability,
  * stays thread-count invariant, and — disabled — leaves the plain fault
- * tier's behavior untouched.
+ * tier's behavior untouched. Migration and telemetry runs simulate each
+ * iteration once (the telemetry observation pass is the only extra).
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
+#include "helpers.hh"
 #include "runtime/cluster.hh"
 #include "support/rng.hh"
 
@@ -330,6 +332,34 @@ TEST(Placement, HalfOpenPenaltyAndSlowdownScaleTheScore)
     plan.slowdowns.push_back({0, 0, 10'000, 0.8});
     EXPECT_EQ(
         pickResilientTarget({10, 11}, plan, {}, {}, 0, -1, 1.5, 2.0), 1);
+}
+
+TEST(Placement, HalfOpenPenaltyCountsThePlacedTokens)
+{
+    ReplicaFaultTimeline recovered;
+    recovered.downs.push_back({0, 1'000});
+    BreakerConfig bc;
+    std::vector<BreakerTimeline> breakers{
+        computeBreakerTimeline(recovered, bc), BreakerTimeline{}};
+    const dam::Cycle at = 2'000; // inside the cooldown
+    ASSERT_EQ(breakers[0].stateAt(at), BreakerState::HalfOpen);
+    // An idle half-open replica scores (0 + 10) * 2 = 20 against the
+    // closed one's 5 + 10 = 15: the penalty still bites at zero load.
+    EXPECT_EQ(pickResilientTarget({0, 5}, {}, breakers, {}, at, -1, 1.5,
+                                  2.0, nullptr, 10),
+              1);
+    // Once the closed replica's queue outweighs the penalty, the
+    // half-open one takes the work: (0 + 10) * 2 = 20 < 15 + 10.
+    EXPECT_EQ(pickResilientTarget({0, 15}, {}, breakers, {}, at, -1, 1.5,
+                                  2.0, nullptr, 10),
+              0);
+    // A slow replica serves the placed tokens slowly too: 10 / 0.5 =
+    // 20 > 4 + 10 = 14 although it is idle.
+    FaultPlan plan;
+    plan.slowdowns.push_back({0, 0, 10'000, 0.5});
+    EXPECT_EQ(pickResilientTarget({0, 4}, plan, {}, {}, 0, -1, 1.5, 2.0,
+                                  nullptr, 10),
+              1);
 }
 
 TEST(Placement, AffinityOwnerWinsWithinItsLoadFactor)
@@ -912,4 +942,61 @@ TEST(TelemetryBreaker, TelemetryRunIsThreadCountInvariantAndReplays)
         EXPECT_EQ(q1[i].finishedAt, q1b[i].finishedAt);
     }
     expectAccountingCloses(r1.aggregate, int64_t(q1.size()));
+}
+
+// ---- co-simulation oracles ---------------------------------------------
+
+namespace {
+
+/** The acceptance scenario's resilient cluster: crash casualties and
+ *  slowdown-drained requests both migrate. */
+ClusterConfig
+migrationCluster(const TraceConfig& tc, const Policy& policy)
+{
+    ClusterConfig cc;
+    cc.replicas = 4;
+    cc.routing = RouteKind::LeastQueued;
+    cc.engine.prefixCache.capacityTokens = 1 << 18;
+    auto probe_reqs = generateTrace(tc, deriveSeed(2));
+    cc.faults = acceptancePlan(
+        ServingCluster(cc, policy).run(probe_reqs).aggregate.makespan);
+    cc.resilience.enabled = true;
+    cc.resilience.remotePrefix.enabled = true;
+    return cc;
+}
+
+} // namespace
+
+TEST(Resilience, MigrationRunSimulatesEveryIterationOnce)
+{
+    TraceConfig tc = sessionClusterTrace(40, 4);
+    QueueDepthPolicy inner;
+    const ClusterConfig cc = migrationCluster(tc, inner);
+    test::CountingPolicy policy(inner);
+    auto reqs = generateTrace(tc, deriveSeed(2));
+    ClusterResult r = ServingCluster(cc, policy).run(reqs);
+    expectAccountingCloses(r.aggregate, int64_t(reqs.size()));
+    EXPECT_GT(r.migrationsIssued, 0) << "the slowdown drain never fired";
+    EXPECT_EQ(policy.calls(), r.totalIterations);
+}
+
+TEST(TelemetryBreaker, ObservationPassIsTheOnlyExtraSimulation)
+{
+    TraceConfig tc = sessionClusterTrace(40, 4);
+    QueueDepthPolicy inner;
+    ClusterConfig cc = migrationCluster(tc, inner);
+    cc.resilience.breakerSource = BreakerSource::Telemetry;
+
+    // The observation pass is a plain fault-tier run of the same trace.
+    ClusterConfig plain = cc;
+    plain.resilience.enabled = false;
+    auto observed = generateTrace(tc, deriveSeed(2));
+    const int64_t pass =
+        ServingCluster(plain, inner).run(observed).totalIterations;
+
+    test::CountingPolicy policy(inner);
+    auto reqs = generateTrace(tc, deriveSeed(2));
+    ClusterResult r = ServingCluster(cc, policy).run(reqs);
+    expectAccountingCloses(r.aggregate, int64_t(reqs.size()));
+    EXPECT_EQ(policy.calls(), r.totalIterations + pass);
 }
