@@ -9,7 +9,10 @@
  *    global allocator around the scheduler's drain() phase only (graph
  *    build/teardown and coroutine-frame creation in start() excluded),
  *  - serving-iteration throughput with graph recycling on and off, and
- *    on the rearm path with the batch size changing every iteration.
+ *    on the rearm path with the batch size changing every iteration,
+ *  - heap allocations per event in the rearmed B=4 decoder iteration's
+ *    drain(), gated as a ceiling: the engine's own graph is not yet
+ *    allocation-free, but it must not get worse.
  *
  * With `--json[=path]` the results are also written to
  * BENCH_hotpath.json for CI trajectory capture.
@@ -269,6 +272,9 @@ struct ServingResult
     double rebuildItersPerSec = 0;  ///< cold graph per iteration
     double rearmEventsPerSec = 0;
     double rearmBuildUs = 0; ///< graph rearm + patch cost, no run
+    /** Heap allocations per event in a warm rearmed iteration's drain()
+     *  alone (deterministic). */
+    double rearmAllocsPerEvent = 0;
     uint64_t eventsPerIter = 0;
     uint64_t switchesPerIter = 0;         ///< shape ops folded (default)
     uint64_t switchesPerIterOpChains = 0; ///< shape ops as operators
@@ -315,6 +321,19 @@ runServing(int reps)
         for (int r = 0; r < reps; ++r)
             rearmDecoderLayer(g, handles, p, spec);
         res.rearmBuildUs = seconds(t0, Clk::now()) / reps * 1e6;
+
+        // Allocations of the rearmed graph's drain() alone, as the
+        // substrate graphs measure theirs: the rearm above armed it.
+        sched.reset();
+        for (OpBase* op : g.ops())
+            sched.add(op);
+        sched.start();
+        const uint64_t a0 = g_alloc_count.load(std::memory_order_relaxed);
+        sched.drain();
+        const uint64_t a1 = g_alloc_count.load(std::memory_order_relaxed);
+        sched.reset();
+        res.rearmAllocsPerEvent = static_cast<double>(a1 - a0) /
+                                  static_cast<double>(g.totalChannelTokens());
     }
     {
         // Rearm with the batch size changing every iteration (B cycles
@@ -412,6 +431,8 @@ main(int argc, char** argv)
     std::printf("  cold rebuild:        %9.1f iters/sec\n",
                 sv.rebuildItersPerSec);
     std::printf("  rearm build cost:    %9.1f us/iter\n", sv.rearmBuildUs);
+    std::printf("  rearm drain allocs:  %9.3f allocs/event\n",
+                sv.rearmAllocsPerEvent);
     std::printf("  rearm vs rebuild:    %9.2fx\n",
                 sv.rearmItersPerSec / sv.rebuildItersPerSec);
     std::printf("  switches/iter:       %9llu (shape ops as operators: "
@@ -453,6 +474,8 @@ main(int argc, char** argv)
         j.set("serving_rearm_events_per_sec", sv.rearmEventsPerSec,
               "events/sec");
         j.set("serving_rearm_build_us", sv.rearmBuildUs, "us");
+        j.set("serving_rearm_allocs_per_event", sv.rearmAllocsPerEvent,
+              "allocs/event");
         j.set("serving_events_per_iter",
               static_cast<double>(sv.eventsPerIter), "events");
         j.set("serving_switches_per_iter",

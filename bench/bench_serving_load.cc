@@ -141,6 +141,8 @@ main(int argc, char** argv)
     int64_t migrations_hiload = 0, retries_hiload = 0;
     // Iteration-graph paths over every engine run of the sweep.
     uint64_t rearms = 0, retargets = 0, rebuilds = 0;
+    // Co-simulation barrier epochs over every cluster run of the sweep.
+    int64_t epochs = 0;
     auto count_paths = [&](const EngineResult& r) {
         rearms += r.graphRearms;
         retargets += r.graphRetargets;
@@ -208,6 +210,7 @@ main(int argc, char** argv)
                 ClusterResult cr = cluster.run(reqs);
                 for (const ReplicaResult& rr : cr.replicas)
                     count_paths(rr.result);
+                epochs += cr.epochs;
                 s = cr.aggregate;
                 if (dynamic) {
                     availability_hiload = s.availability;
@@ -271,6 +274,9 @@ main(int argc, char** argv)
         report.set("rearm_hit_rate", rearm_hit_rate, "fraction");
         report.set("graph_rebuilds", static_cast<double>(rebuilds),
                    "count");
+        if (replicas > 1)
+            report.set("cluster_epochs", static_cast<double>(epochs),
+                       "count");
         report.set("goodput_static_hiload", goodput_static,
                    "tokens/kcycle");
         report.set("goodput_dynamic_hiload", goodput_dynamic,

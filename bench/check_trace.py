@@ -37,8 +37,13 @@ Fault instants in the trace (fault.replica_down / fault.replica_up /
 req.retry / req.failed / req.shed / req.migrated) must alternate sanely
 per track: a replica_up only after a replica_down, and their totals are
 reported so CI can assert a faulty run actually recorded faults.
-Resilience decision instants (breaker.*, autoscale.active, req.capped)
-ride along under the generic instant checks.
+Circuit-breaker instants alternate per replica the same way, since the
+trace shows state changes only: breaker.half_open and breaker.closed
+must follow a breaker.open (half_open directly, closed directly or via
+half_open), and a breaker.open never follows another open without a
+close or half_open in between. The other resilience decision instants
+(autoscale.active, req.capped) ride along under the generic instant
+checks.
 
 Exit status 0 on success, 1 on any violation (with a message naming
 the first offending event).
@@ -68,6 +73,13 @@ def check_trace(path):
     last_ts = defaultdict(lambda: None)
     depth = defaultdict(int)
     down = defaultdict(bool)
+    breaker = defaultdict(lambda: "breaker.closed")
+    # Breaker state -> the states it may change to.
+    breaker_next = {
+        "breaker.closed": ("breaker.open",),
+        "breaker.open": ("breaker.half_open", "breaker.closed"),
+        "breaker.half_open": ("breaker.open", "breaker.closed"),
+    }
     fault_counts = defaultdict(int)
     substantive = 0
 
@@ -127,6 +139,14 @@ def check_trace(path):
                         f"without a preceding down"
                     )
                 down[e["pid"]] = False
+            elif name in breaker_next:
+                state = breaker[e["pid"]]
+                if name not in breaker_next[state]:
+                    fail(
+                        f"event {i}: replica {e['pid']} {name} while "
+                        f"its breaker is {state.split('.')[1]}"
+                    )
+                breaker[e["pid"]] = name
         elif ph == "C":
             value = e.get("args", {}).get("value")
             # bool is an int subclass in Python; JSON true is not a count.

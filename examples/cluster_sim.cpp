@@ -35,9 +35,9 @@
  * tier's placement scoring.
  *
  * --breaker-source telemetry makes the resilience tier infer each
- * replica's circuit-breaker timeline from an observation pass's
- * windowed metrics (failure counts + TTFT p95) instead of reading the
- * fault plan; see runtime/resilience.hh. Requires --resilience.
+ * replica's circuit breaker online, from the failure counts and TTFT p95
+ * of every closed health window, instead of reading the fault plan; see
+ * runtime/resilience.hh. Requires --resilience.
  *
  * Fault tier (off by default; without these flags the output is
  * bit-identical to the fault-less build): --mtbf N draws a seeded
@@ -274,8 +274,8 @@ main(int argc, char** argv)
         std::cout << "resilience: migration + breakers + remote prefix "
                      "+ autoscale + brown-out admission\n";
     if (resilience && breaker_source == BreakerSource::Telemetry)
-        std::cout << "breaker source: telemetry (health monitor over an "
-                     "observation pass's windowed metrics)\n";
+        std::cout << "breaker source: telemetry (online health monitor "
+                     "over each closed window)\n";
     if (!bw_scales.empty()) {
         std::cout << "heterogeneous fleet: bw scales";
         for (double s : bw_scales)

@@ -2,14 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
+#include <condition_variable>
 #include <deque>
 #include <exception>
 #include <functional>
 #include <limits>
+#include <mutex>
+#include <optional>
+#include <set>
 #include <thread>
 #include <tuple>
 #include <utility>
 
+#include "obs/histogram.hh"
 #include "support/error.hh"
 #include "support/framepool.hh"
 #include "support/rng.hh"
@@ -79,31 +84,94 @@ struct ShadowReplica
 };
 
 /**
- * Run job(t) for every worker t < @p workers, worker 0 on the calling
- * thread and each other on a thread of its own, and rethrow the
- * lowest-indexed worker's exception once all have returned.
+ * The cluster's worker threads: T - 1 of them live for one run and park
+ * between epochs. run(job) calls job(t) for every worker t < T, worker 0
+ * on the calling thread, and rethrows the lowest-indexed worker's
+ * exception once all have returned. A worker keeps its thread, and so
+ * its coroutine-frame pool, from one epoch to the next.
  */
-void
-forkJoin(size_t workers, const std::function<void(size_t)>& job)
+class EpochPool
 {
-    std::vector<std::exception_ptr> errors(workers);
-    auto run = [&](size_t t) {
-        try {
-            job(t);
-        } catch (...) {
-            errors[t] = std::current_exception();
-        }
-    };
+  public:
+    explicit EpochPool(size_t workers) : errors_(workers)
     {
-        std::vector<std::jthread> threads; // joined on leaving the scope
         for (size_t t = 1; t < workers; ++t)
-            threads.emplace_back(run, t);
-        run(0);
+            threads_.emplace_back([this, t] { serve(t); });
     }
-    for (std::exception_ptr& e : errors)
-        if (e)
-            std::rethrow_exception(e);
-}
+
+    ~EpochPool()
+    {
+        {
+            std::lock_guard lock(mu_);
+            stop_ = true;
+        }
+        wake_.notify_all(); // the jthreads join as threads_ goes
+    }
+
+    EpochPool(const EpochPool&) = delete;
+    EpochPool& operator=(const EpochPool&) = delete;
+
+    void
+    run(const std::function<void(size_t)>& job)
+    {
+        {
+            std::lock_guard lock(mu_);
+            job_ = &job;
+            busy_ = threads_.size();
+            ++epoch_;
+        }
+        wake_.notify_all();
+        call(0);
+        {
+            std::unique_lock lock(mu_);
+            done_.wait(lock, [this] { return busy_ == 0; });
+            job_ = nullptr;
+        }
+        for (std::exception_ptr& e : errors_)
+            if (e)
+                std::rethrow_exception(std::exchange(e, nullptr));
+    }
+
+  private:
+    void
+    call(size_t t)
+    {
+        try {
+            (*job_)(t);
+        } catch (...) {
+            errors_[t] = std::current_exception();
+        }
+    }
+
+    void
+    serve(size_t t)
+    {
+        uint64_t seen = 0;
+        for (;;) {
+            {
+                std::unique_lock lock(mu_);
+                wake_.wait(lock,
+                           [&] { return stop_ || epoch_ != seen; });
+                if (stop_)
+                    return;
+                seen = epoch_;
+            }
+            call(t);
+            std::lock_guard lock(mu_);
+            if (--busy_ == 0)
+                done_.notify_one();
+        }
+    }
+
+    std::mutex mu_;
+    std::condition_variable wake_, done_;
+    const std::function<void(size_t)>* job_ = nullptr;
+    uint64_t epoch_ = 0;
+    size_t busy_ = 0;
+    bool stop_ = false;
+    std::vector<std::exception_ptr> errors_;
+    std::vector<std::jthread> threads_; ///< last: joined before the rest
+};
 
 /**
  * The replica alive at @p at with the least @p load (ties to the lowest
@@ -121,21 +189,27 @@ leastLoadedAlive(const std::vector<int64_t>& load, const FaultPlan& faults,
     return best;
 }
 
-/** One instant per state flip of @p breaker, in cycle order, named by
- *  the state after the edge; value carries @p replica. */
-std::vector<ClusterInstant>
-breakerInstants(const BreakerTimeline& breaker, int64_t replica)
+/**
+ * Append to @p out one instant per edge of @p breaker at a cycle in
+ * [@p from, @p to), named by the state after it; value carries
+ * @p replica. Overlapping windows can leave the state as it was at an
+ * edge: the engine still wakes there but does not trace it again.
+ */
+void
+appendBreakerInstants(const BreakerTimeline& breaker, int64_t replica,
+                      dam::Cycle from, dam::Cycle to,
+                      std::vector<ClusterInstant>& out)
 {
     std::vector<dam::Cycle> edges;
     for (const auto* windows : {&breaker.open, &breaker.halfOpen})
         for (const BreakerTimeline::Window& w : *windows) {
-            edges.push_back(w.start);
-            if (w.end != 0)
+            if (w.start >= from && w.start < to)
+                edges.push_back(w.start);
+            if (w.end != 0 && w.end >= from && w.end < to)
                 edges.push_back(w.end);
         }
     std::sort(edges.begin(), edges.end());
     edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-    std::vector<ClusterInstant> out;
     for (dam::Cycle c : edges) {
         ClusterInstant ci;
         ci.at = c;
@@ -153,7 +227,6 @@ breakerInstants(const BreakerTimeline& breaker, int64_t replica)
         }
         out.push_back(ci);
     }
-    return out;
 }
 
 } // namespace
@@ -203,48 +276,45 @@ ServingCluster::flopsPerToken() const
 }
 
 std::vector<BreakerTimeline>
-ServingCluster::resilientBreakers(const std::vector<Request>& reqs) const
+ServingCluster::upfrontBreakers() const
 {
     const auto R = static_cast<size_t>(cfg_.replicas);
     std::vector<BreakerTimeline> out(R);
-    if (cfg_.resilience.breakerSource == BreakerSource::Plan) {
+    if (cfg_.resilience.breakerSource == BreakerSource::Plan)
         for (size_t r = 0; r < R; ++r)
             out[r] = computeBreakerTimeline(
                 cfg_.faults.forReplica(static_cast<int64_t>(r)),
                 cfg_.resilience.breaker);
-        return out;
-    }
-    // Telemetry source: observation pass. Run the *plain fault tier* on
-    // a copy of the trace — resilience machinery off (so the pass
-    // cannot recurse), tracing off, metrics forced on at the health
-    // monitor's window width — and infer each replica's timeline from
-    // its windowed failure counts and TTFT p95. The pass is itself a
-    // deterministic cluster run, so the inferred timelines are pure
-    // reproducible data, exactly like the plan-derived ones.
-    ClusterConfig oc = cfg_;
-    oc.resilience.enabled = false;
-    oc.trace = obs::TraceOptions{};
-    oc.metrics.enabled = true;
-    oc.metrics.windowCycles = cfg_.resilience.health.windowCycles;
-    std::vector<Request> copy(reqs);
-    ServingCluster observer(std::move(oc), policy_);
-    const ClusterResult watched = observer.run(copy);
-    for (size_t r = 0; r < R; ++r)
-        out[r] = inferBreakerTimeline(*watched.metrics[r],
-                                      cfg_.resilience.health);
     return out;
+}
+
+std::vector<AutoscaleStep>
+ServingCluster::autoscaleTimeline(const std::vector<Request>& reqs) const
+{
+    return computeAutoscaleTimeline(cfg_.resilience.autoscale, reqs,
+                                    cfg_.faults, cfg_.replicas,
+                                    flopsPerToken(),
+                                    cfg_.engine.totalComputeBw);
 }
 
 std::vector<int64_t>
 ServingCluster::routeTrace(const std::vector<Request>& reqs) const
 {
-    return routeTraceImpl(reqs, nullptr);
+    std::vector<int64_t> out = baseRoute(reqs);
+    if (cfg_.resilience.enabled) {
+        const std::vector<AutoscaleStep> autoscale = autoscaleTimeline(reqs);
+        HealthScoredRouter(cfg_.faults, autoscale, cfg_.replicas,
+                           cfg_.resilience,
+                           cfg_.bwScales.empty() ? nullptr : &cfg_.bwScales)
+            .route(reqs, 0, reqs.size(), upfrontBreakers(), out);
+    } else {
+        faultAwareRemap(reqs, out);
+    }
+    return out;
 }
 
 std::vector<int64_t>
-ServingCluster::routeTraceImpl(
-    const std::vector<Request>& reqs,
-    const std::vector<BreakerTimeline>* pre) const
+ServingCluster::baseRoute(const std::vector<Request>& reqs) const
 {
     const auto R = static_cast<size_t>(cfg_.replicas);
     std::vector<int64_t> out(reqs.size(), 0);
@@ -357,66 +427,13 @@ ServingCluster::routeTraceImpl(
       }
     }
 
-    // Health-scored remap (resilience tier): beyond liveness, the
-    // router consults the precomputed breaker timelines and the
-    // autoscaler's step timeline. A request whose chosen replica is
-    // down or breaker-open at arrival moves to the health-scored best
-    // candidate; autoscale-parked replicas stop receiving *fresh*
-    // placements, but sticky sessions they already own stay (cache
-    // affinity outranks parking). All inputs are pure pre-computed
-    // data, so the remap stays a deterministic pre-pass.
-    if (cfg_.resilience.enabled) {
-        std::vector<BreakerTimeline> computed;
-        if (pre == nullptr) {
-            computed = resilientBreakers(reqs);
-            pre = &computed;
-        }
-        const std::vector<BreakerTimeline>& breakers = *pre;
-        const std::vector<AutoscaleStep> autoscale =
-            computeAutoscaleTimeline(
-                cfg_.resilience.autoscale, reqs, cfg_.faults,
-                cfg_.replicas, flopsPerToken(), cfg_.engine.totalComputeBw);
-        std::vector<int64_t> load(R, 0);
-        std::unordered_map<uint64_t, size_t> sticky; // key -> owner
-        for (size_t i = 0; i < reqs.size(); ++i) {
-            auto r = static_cast<size_t>(out[i]);
-            const dam::Cycle at = reqs[i].arrival;
-            const uint64_t key = reqs[i].affinityKey;
-            // A session lives where its first turn actually landed —
-            // if that was itself remapped, later turns follow it (the
-            // warm cache is there, not at the routing pre-pass's pick).
-            const auto it = key != 0 ? sticky.find(key) : sticky.end();
-            const bool owned = it != sticky.end();
-            if (owned && it->second != r) {
-                r = it->second;
-                out[i] = static_cast<int64_t>(r);
-            }
-            const bool parked =
-                static_cast<int64_t>(r) >=
-                autoscaleActiveAt(autoscale, at, cfg_.replicas);
-            const bool unhealthy =
-                !cfg_.faults.aliveAt(static_cast<int64_t>(r), at) ||
-                breakers[r].openAt(at) || (parked && !owned);
-            if (unhealthy) {
-                const int64_t best = pickResilientTarget(
-                    load, cfg_.faults, breakers, autoscale, at,
-                    /*affinityOwner=*/-1,
-                    cfg_.resilience.remotePrefix.affinityLoadFactor,
-                    cfg_.resilience.breaker.halfOpenLoadPenalty,
-                    cfg_.bwScales.empty() ? nullptr : &cfg_.bwScales,
-                    reqs[i].promptLen + reqs[i].outputLen);
-                if (best >= 0) {
-                    r = static_cast<size_t>(best);
-                    out[i] = best;
-                }
-            }
-            if (key != 0)
-                sticky[key] = r; // remaps move the session's home
-            load[r] += reqs[i].promptLen + reqs[i].outputLen;
-        }
-        return out;
-    }
+    return out;
+}
 
+void
+ServingCluster::faultAwareRemap(const std::vector<Request>& reqs,
+                                std::vector<int64_t>& out) const
+{
     // Fault-aware remap: a health-checked router never sends a request
     // into a replica it knows is down at the arrival cycle. Such
     // requests move to the least-loaded alive replica (assigned
@@ -424,23 +441,21 @@ ServingCluster::routeTraceImpl(
     // alive the assignment stands and the dead replica refuses the
     // request on arrival (a crash mid-flight is still the engine's to
     // discover — the router only sees health at admission time).
-    if (!cfg_.faults.empty()) {
-        std::vector<int64_t> load(R, 0);
-        for (size_t i = 0; i < reqs.size(); ++i) {
-            auto r = static_cast<size_t>(out[i]);
-            if (!cfg_.faults.aliveAt(static_cast<int64_t>(r),
-                                     reqs[i].arrival)) {
-                const int64_t best =
-                    leastLoadedAlive(load, cfg_.faults, reqs[i].arrival);
-                if (best >= 0) {
-                    r = static_cast<size_t>(best);
-                    out[i] = best;
-                }
+    if (cfg_.faults.empty())
+        return;
+    std::vector<int64_t> load(static_cast<size_t>(cfg_.replicas), 0);
+    for (size_t i = 0; i < reqs.size(); ++i) {
+        auto r = static_cast<size_t>(out[i]);
+        if (!cfg_.faults.aliveAt(static_cast<int64_t>(r), reqs[i].arrival)) {
+            const int64_t best =
+                leastLoadedAlive(load, cfg_.faults, reqs[i].arrival);
+            if (best >= 0) {
+                r = static_cast<size_t>(best);
+                out[i] = best;
             }
-            load[r] += reqs[i].promptLen + reqs[i].outputLen;
         }
+        load[r] += reqs[i].promptLen + reqs[i].outputLen;
     }
-    return out;
 }
 
 ClusterResult
@@ -453,15 +468,16 @@ ServingCluster::run(std::vector<Request>& reqs)
                 "request trace must be sorted by arrival");
 
     const auto R = static_cast<size_t>(cfg_.replicas);
-    // Breaker timelines come first: routing consults them, and under
-    // BreakerSource::Telemetry deriving them runs a whole observation
-    // pass — computed once here and shared with failover placement.
     const bool resilient = cfg_.resilience.enabled;
-    std::vector<BreakerTimeline> breakers;
-    if (resilient)
-        breakers = resilientBreakers(reqs);
-    const std::vector<int64_t> assignment =
-        routeTraceImpl(reqs, resilient ? &breakers : nullptr);
+    // Telemetry breakers are learned as the run goes: the replicas pause
+    // at every health-window edge, the monitors read the window that
+    // just closed, and the next window's arrivals are routed with the
+    // breaker states known then. Plan breakers, and runs without the
+    // tier, route the whole trace up front.
+    const bool online =
+        resilient && cfg_.resilience.breakerSource == BreakerSource::Telemetry;
+    const dam::Cycle window = cfg_.resilience.health.windowCycles;
+    STEP_ASSERT(!online || window > 0, "health window must be positive");
 
     // Per-replica fault timelines and (below) seeds are derived on the
     // coordinating thread before any worker exists — the one ordering
@@ -470,28 +486,35 @@ ServingCluster::run(std::vector<Request>& reqs)
     for (size_t r = 0; r < R; ++r)
         plans[r] = cfg_.faults.forReplica(static_cast<int64_t>(r));
 
-    // Resilience pre-pass: the autoscaler's step timeline and the
-    // sessions' cache owners — pure data derived before any worker
-    // exists, like the fault plans and seeds.
+    // Routing: the base routers never read breakers, so they stay a
+    // pre-pass over the whole trace; the resilience tier remaps it with
+    // the breakers and the autoscaler's step timeline (pure data derived
+    // before any worker exists, like the fault plans and seeds).
+    std::vector<int64_t> assignment = baseRoute(reqs);
     std::vector<AutoscaleStep> autoscale;
-    std::unordered_map<uint64_t, int64_t> affinity_owner;
+    std::vector<BreakerTimeline> breakers;
+    std::optional<HealthScoredRouter> router;
     if (resilient) {
-        autoscale = computeAutoscaleTimeline(
-            cfg_.resilience.autoscale, reqs, cfg_.faults, cfg_.replicas,
-            flopsPerToken(), cfg_.engine.totalComputeBw);
-        // Last sight wins: where the session's cache is warm *now*
-        // (the health-scored remap may have moved the session's home).
-        for (size_t i = 0; i < reqs.size(); ++i)
-            if (reqs[i].affinityKey != 0)
-                affinity_owner[reqs[i].affinityKey] = assignment[i];
+        autoscale = autoscaleTimeline(reqs);
+        breakers = upfrontBreakers();
+        router.emplace(cfg_.faults, autoscale, cfg_.replicas,
+                       cfg_.resilience,
+                       cfg_.bwScales.empty() ? nullptr : &cfg_.bwScales);
+    } else {
+        faultAwareRemap(reqs, assignment);
     }
 
-    // Shard the trace into per-replica inputs, in trace order so each
-    // starts sorted by arrival. origin[r][k] maps replica r's request k
-    // (its shard, then the incarnations injected into it) back to the
-    // caller's trace; fin[i] locates request i's latest incarnation.
-    // load[r] is the worst-case tokens ever assigned to replica r, by
-    // routing or by failover: the failover placement's load.
+    // Per-replica inputs, in trace order so each starts sorted by
+    // arrival: up front into work[r], or (online) injected into the
+    // running engines window by window. origin[r][k] maps replica r's
+    // request k (its shard, then the incarnations injected into it) back
+    // to the caller's trace; fin[i] locates request i's latest
+    // incarnation. load[r] is the worst-case tokens assigned to replica
+    // r so far, by routing or by failover: the failover placement's
+    // load. affinity_owner holds each session's latest home (resilience
+    // tier only). Barriers are the cycles where a cross-replica message
+    // can start: a crash, a slowdown-drain edge, an arrival the router
+    // had to send into a down replica.
     struct Final
     {
         size_t replica = 0, slot = 0;
@@ -501,25 +524,42 @@ ServingCluster::run(std::vector<Request>& reqs)
     std::vector<std::vector<size_t>> origin(R);
     std::vector<Final> fin(reqs.size());
     std::vector<int64_t> load(R, 0);
-    for (size_t i = 0; i < reqs.size(); ++i) {
-        auto r = static_cast<size_t>(assignment[i]);
-        fin[i] = {r, work[r].size()};
-        work[r].push_back(reqs[i]);
-        origin[r].push_back(i);
-        load[r] += reqs[i].promptLen + reqs[i].outputLen;
-    }
+    std::unordered_map<uint64_t, int64_t> affinity_owner;
+    std::set<dam::Cycle> barriers;
+    std::vector<std::unique_ptr<ServingEngine>> engines;
+    size_t routed = 0; ///< reqs[0, routed) are placed
+    auto placeUntil = [&](dam::Cycle end) { // arrivals before @p end
+        size_t last = routed;
+        while (last < reqs.size() && reqs[last].arrival < end)
+            ++last;
+        if (router)
+            router->route(reqs, routed, last, breakers, assignment);
+        for (size_t i = routed; i < last; ++i) {
+            const auto r = static_cast<size_t>(assignment[i]);
+            fin[i] = {r, origin[r].size()};
+            origin[r].push_back(i);
+            load[r] += reqs[i].promptLen + reqs[i].outputLen;
+            if (resilient && reqs[i].affinityKey != 0)
+                affinity_owner[reqs[i].affinityKey] = assignment[i];
+            if (!cfg_.faults.aliveAt(assignment[i], reqs[i].arrival))
+                barriers.insert(reqs[i].arrival);
+            if (online)
+                engines[r]->inject(reqs[i]);
+            else
+                work[r].push_back(reqs[i]);
+        }
+        routed = last;
+    };
+    if (!online)
+        placeUntil(ReplicaFaultTimeline::kNoEvent);
 
     // One live engine, trace sink and metrics registry per replica for
     // the whole run: replica r's worker is their only writer, so
     // recording needs no locks, and exporting in index order erases the
-    // thread count from the bytes. Barriers are the cycles where a
-    // cross-replica message can start: a crash, a slowdown-drain edge,
-    // an arrival the router had to send into a down replica.
+    // thread count from the bytes.
     std::vector<ReplicaResult> results(R);
     std::vector<std::unique_ptr<obs::TraceSink>> traces;
     std::vector<std::unique_ptr<obs::MetricsRegistry>> mregs;
-    std::vector<std::unique_ptr<ServingEngine>> engines;
-    std::vector<dam::Cycle> barriers;
     for (size_t r = 0; r < R; ++r) {
         EngineConfig ec = cfg_.engine;
         ec.seed = results[r].seed = deriveSeed(static_cast<uint64_t>(r));
@@ -536,25 +576,11 @@ ServingCluster::run(std::vector<Request>& reqs)
             ec.drain.detectCycles = cfg_.resilience.breaker.detectCycles;
             ec.drain.openBelowFactor =
                 cfg_.resilience.breaker.openBelowFactor;
-            // The engine stamps its breaker flips onto its own trace;
-            // replica 0's also carries the cluster-scope autoscale steps.
-            ec.clusterInstants =
-                breakerInstants(breakers[r], static_cast<int64_t>(r));
-            if (r == 0)
-                for (const AutoscaleStep& s : autoscale)
-                    ec.clusterInstants.push_back(
-                        {s.at, ClusterInstant::AutoscaleActive, s.active});
-            std::sort(ec.clusterInstants.begin(), ec.clusterInstants.end(),
-                      [](const ClusterInstant& a, const ClusterInstant& b) {
-                          if (a.at != b.at)
-                              return a.at < b.at;
-                          return a.kind < b.kind;
-                      });
         }
         for (const auto& d : plans[r].downs)
-            barriers.push_back(d.failAt);
+            barriers.insert(d.failAt);
         for (dam::Cycle c : slowdownDrainEdges(plans[r], ec.drain))
-            barriers.push_back(c);
+            barriers.insert(c);
         ServingEngine& engine = *engines.emplace_back(
             std::make_unique<ServingEngine>(std::move(ec), policy_));
         if (cfg_.trace.level != obs::TraceLevel::Off) {
@@ -567,14 +593,67 @@ ServingCluster::run(std::vector<Request>& reqs)
             engine.attachMetrics(mregs.back().get());
         }
         engine.begin(work[r]);
+        engine.holdOpen(online);
     }
-    for (size_t i = 0; i < reqs.size(); ++i)
-        if (!cfg_.faults.aliveAt(assignment[i], reqs[i].arrival))
-            barriers.push_back(reqs[i].arrival);
-    std::sort(barriers.begin(), barriers.end());
-    barriers.erase(std::unique(barriers.begin(), barriers.end()),
-                   barriers.end());
-    barriers.push_back(ReplicaFaultTimeline::kNoEvent);
+
+    // Each engine stamps the breaker flips that concern it onto its own
+    // trace; replica 0's also carries the cluster-scope autoscale steps.
+    // Online, an edge posts the flips known there, up to the next edge.
+    auto postInstants = [&](dam::Cycle from, dam::Cycle to) {
+        for (size_t r = 0; r < R; ++r) {
+            std::vector<ClusterInstant> flips;
+            appendBreakerInstants(breakers[r], static_cast<int64_t>(r),
+                                  from, to, flips);
+            if (r == 0)
+                for (const AutoscaleStep& s : autoscale)
+                    if (s.at >= from && s.at < to)
+                        flips.push_back(
+                            {s.at, ClusterInstant::AutoscaleActive, s.active});
+            for (const ClusterInstant& ci : flips)
+                engines[r]->postInstant(ci);
+        }
+    };
+
+    // Online health monitoring: at edge b every replica's window
+    // [b - W, b) has closed — the replicas stepped to a boundary at or
+    // past b, and nothing delivered later is stamped before it — so its
+    // failures, first tokens and windowed p95 TTFT are read from the
+    // engines' requests, exactly as the metrics registry windows them.
+    // Returns the latest failure or first-token stamp in the fleet.
+    std::vector<HealthMonitor> monitors;
+    auto observe = [&](dam::Cycle b) {
+        dam::Cycle latest = 0;
+        for (size_t r = 0; r < R; ++r) {
+            uint64_t failed = 0;
+            obs::LogHistogram ttft;
+            for (size_t k = 0; k < engines[r]->requestCount(); ++k) {
+                const Request& q = engines[r]->request(k);
+                if (q.state == ReqState::Failed) {
+                    latest = std::max(latest, q.finishedAt);
+                    if (q.finishedAt >= b - window && q.finishedAt < b)
+                        ++failed;
+                }
+                if (q.firstTokenAt != 0) {
+                    latest = std::max(latest, q.firstTokenAt);
+                    if (q.firstTokenAt >= b - window && q.firstTokenAt < b)
+                        ttft.record(q.firstTokenAt - q.arrival);
+                }
+            }
+            monitors[r].observeWindow(failed, ttft.count(),
+                                      ttft.percentile(95.0));
+            breakers[r] = monitors[r].timeline();
+        }
+        return latest;
+    };
+    dam::Cycle edge = ReplicaFaultTimeline::kNoEvent; ///< next window edge
+    if (online) {
+        monitors.assign(R, HealthMonitor(cfg_.resilience.health));
+        placeUntil(window);
+        postInstants(0, window);
+        edge = window;
+    } else if (resilient) {
+        postInstants(0, ReplicaFaultTimeline::kNoEvent);
+    }
 
     // ---- failover -----------------------------------------------------
     // At a barrier, the incarnations that newly ended Failed or Migrated
@@ -714,26 +793,56 @@ ServingCluster::run(std::vector<Request>& reqs)
     };
 
     // ---- co-simulation ------------------------------------------------
-    // Every replica steps to each barrier in turn (a fault-free run has
-    // none), then to completion, again whenever failover injected more
-    // work. Replica r always steps on worker r mod T; the coordinator
-    // touches the engines only between epochs.
+    // Every replica steps to each barrier in turn (a fault-free run
+    // without online monitoring has none), then to completion, again
+    // whenever failover injected more work. Replica r always steps on
+    // worker r mod T; the coordinator touches the engines only between
+    // epochs. Online, window edges are barriers too, until every arrival
+    // is routed, every replica has settled and the monitors have seen
+    // the window of the last failure or first token.
     const auto T = static_cast<size_t>(std::min(
         cfg_.threads > 0 ? cfg_.threads : cfg_.replicas, cfg_.replicas));
+    EpochPool pool(T);
     auto epoch = [&](const std::function<void(size_t)>& job) {
-        forkJoin(T, [&](size_t t) {
+        pool.run([&](size_t t) {
             for (size_t r = t; r < R; r += T)
                 job(r);
         });
     };
-    for (const dam::Cycle b : barriers) {
-        do
-            epoch([&](size_t r) { engines[r]->step(b); });
-        while (failover() > 0 && b == ReplicaFaultTimeline::kNoEvent);
+    int64_t epochs = 0;
+    for (;;) {
+        dam::Cycle b = edge;
+        if (!barriers.empty() && *barriers.begin() <= b) {
+            b = *barriers.begin();
+            barriers.erase(barriers.begin());
+        }
+        epoch([&](size_t r) { engines[r]->step(b); });
+        ++epochs;
+        const bool at_edge = b == edge && b != ReplicaFaultTimeline::kNoEvent;
+        dam::Cycle latest = 0;
+        if (at_edge) {
+            latest = observe(b);
+            placeUntil(b + window);
+            postInstants(b, b + window);
+        }
+        const int64_t injected = failover();
+        if (at_edge) {
+            const bool settled =
+                routed == reqs.size() && injected == 0 && latest < b &&
+                std::all_of(engines.begin(), engines.end(),
+                            [](const auto& e) { return e->allTerminal(); });
+            edge = settled ? ReplicaFaultTimeline::kNoEvent : b + window;
+            if (settled)
+                for (auto& e : engines)
+                    e->holdOpen(false);
+        }
+        if (b == ReplicaFaultTimeline::kNoEvent && injected == 0)
+            break;
     }
     // Each engine finishes and is destroyed on its worker too, so the
     // coroutine frames it frees land in that worker's pool, released when
-    // the thread exits; worker 0 is this thread, whose pool is trimmed.
+    // the pool's threads exit; worker 0 is this thread, whose pool is
+    // trimmed.
     epoch([&](size_t r) {
         results[r].result = engines[r]->finish();
         engines[r].reset();
@@ -784,6 +893,7 @@ ServingCluster::run(std::vector<Request>& reqs)
     out.metrics = std::move(mregs);
     out.breakers = std::move(breakers);
     out.autoscale = std::move(autoscale);
+    out.epochs = epochs;
     std::vector<ServingSummary> parts;
     parts.reserve(R);
     for (const ReplicaResult& rr : out.replicas) {

@@ -11,8 +11,9 @@
  * batching serving systems scale out: replicas behind a router, sharing
  * nothing but the request stream.
  *
- * Determinism contract: routing is a pre-pass on the coordinating
- * thread, per-replica seeds are derived before workers spawn
+ * Determinism contract: routing runs on the coordinating thread (a
+ * pre-pass, or window by window under telemetry breakers), per-replica
+ * seeds are derived before workers spawn
  * (deriveSeed(replica_id)), replicas exchange failover messages only at
  * barriers, where the coordinating thread handles them in a fixed
  * order, and merging walks replicas in index order — so the aggregate
@@ -162,6 +163,11 @@ struct ClusterResult
     UtilizationTimeline timeline;
     std::vector<ReplicaResult> replicas;
     int64_t totalIterations = 0;
+    /** Barrier epochs the co-simulation stepped: one per barrier (a
+     *  crash, a slowdown-drain edge, an arrival routed into a down
+     *  replica, a health-window edge under telemetry breakers) plus one
+     *  per run-to-completion round. */
+    int64_t epochs = 0;
     /** Retry incarnations failover issued (0 without faults); each
      *  supersedes a Failed incarnation. */
     int64_t retriesIssued = 0;
@@ -184,8 +190,9 @@ struct ClusterResult
     std::unique_ptr<obs::MetricsRegistry> mergedMetrics;
     /** The breaker timelines the router and failover placement actually
      *  consulted (empty unless the resilience tier is enabled):
-     *  plan-derived by default, telemetry-inferred under
-     *  BreakerSource::Telemetry. Exposed for tests and tools. */
+     *  plan-derived by default; under BreakerSource::Telemetry, what the
+     *  online monitors inferred over the whole run, an open breaker at
+     *  the end sealed permanent. Exposed for tests and tools. */
     std::vector<BreakerTimeline> breakers;
 
     /** Borrowed views of `traces` in export order (replica order),
@@ -229,9 +236,12 @@ class ServingCluster
      * in (fail-cycle, prompt length, request, attempt) order, to the
      * retry policy (or the migration cost model) and injects the granted
      * ones into their targets: casualties of one crash re-arrive
-     * shortest prompt first. No replica is ever re-simulated, so each
-     * iteration runs
-     * once. A request that failed but was retried reports the final
+     * shortest prompt first. Under BreakerSource::Telemetry every
+     * health-window edge is a barrier too: each replica's closed window
+     * feeds its HealthMonitor, and the next window's arrivals are routed
+     * with the breaker states known at that edge and injected. No
+     * replica is ever re-simulated, so each iteration runs once. A
+     * request that failed but was retried reports the final
      * incarnation's outcome to the caller (original arrival kept,
      * Request::attempt telling the story); its source replica's summary
      * reclassifies it failed -> retried. Deterministic for fixed
@@ -245,32 +255,29 @@ class ServingCluster
      * request, in trace order. Includes the fault-aware remap (requests
      * arriving into a down replica move to the least-loaded alive one)
      * — or, with the resilience tier enabled, the health-scored remap
-     * (down, breaker-open, and autoscale-parked replicas stop getting
-     * fresh placements; targets are picked by pickResilientTarget).
-     * Exposed for tests and routing studies.
+     * (HealthScoredRouter: down, breaker-open, and autoscale-parked
+     * replicas stop getting fresh placements). Telemetry breakers are
+     * only learned during run(), so under BreakerSource::Telemetry this
+     * is the routing with every breaker closed. Exposed for tests and
+     * routing studies.
      */
     std::vector<int64_t> routeTrace(const std::vector<Request>& reqs) const;
 
   private:
-    /**
-     * The breaker timelines the resilience tier will consult, by
-     * ClusterConfig::resilience.breakerSource: plan-derived
-     * (computeBreakerTimeline per replica) or telemetry-inferred — an
-     * observation pass runs the *plain fault tier* on a copy of the
-     * trace (resilience off, traces off, metrics forced on at the
-     * health monitor's window width) and feeds each replica's windowed
-     * failure counts and TTFT p95 to inferBreakerTimeline. Both are
-     * pure pre-passes on the coordinating thread, so routing stays
-     * deterministic and thread-count independent.
-     */
-    std::vector<BreakerTimeline>
-    resilientBreakers(const std::vector<Request>& reqs) const;
-    /** routeTrace with the resilience pre-pass's breaker timelines
-     *  precomputed (null = compute internally). Lets run() share one
-     *  observation pass between routing and failover placement. */
-    std::vector<int64_t>
-    routeTraceImpl(const std::vector<Request>& reqs,
-                   const std::vector<BreakerTimeline>* breakers) const;
+    /** The base router's pick per request (RouteKind), before any
+     *  health remap: a pre-pass, since no base router reads breakers. */
+    std::vector<int64_t> baseRoute(const std::vector<Request>& reqs) const;
+    /** Without the resilience tier: move requests arriving into a down
+     *  replica to the least-loaded alive one. */
+    void faultAwareRemap(const std::vector<Request>& reqs,
+                         std::vector<int64_t>& out) const;
+    /** The breaker timelines known before the run: plan-derived
+     *  (computeBreakerTimeline per replica), or all closed under
+     *  BreakerSource::Telemetry, whose monitors have seen nothing yet. */
+    std::vector<BreakerTimeline> upfrontBreakers() const;
+    /** The autoscaler's step timeline over @p reqs. */
+    std::vector<AutoscaleStep>
+    autoscaleTimeline(const std::vector<Request>& reqs) const;
     /** bwScales[r], or 1.0 for an unscaled fleet. */
     double bwScaleAt(size_t r) const;
     /** Analytic prefill FLOPs per prompt token of the engine template. */

@@ -163,7 +163,13 @@ struct ServingEngine::Run
 
     std::vector<dam::Cycle> drainEdges; ///< see slowdownDrainEdges
     size_t drainIdx = 0;
-    size_t instantIdx = 0; ///< next cfg_.clusterInstants to emit
+    /** Posted cluster instants by (cycle, kind); [0, instantIdx) are
+     *  emitted. */
+    std::vector<ClusterInstant> instants;
+    size_t instantIdx = 0;
+    /** The breaker state the trace shows (the kind last emitted). */
+    ClusterInstant::Kind breakerShown = ClusterInstant::BreakerClosed;
+    bool open = false; ///< see holdOpen
     size_t downIdx = 0;    ///< next unprocessed crash window
     bool dead = false;     ///< a permanent crash was delivered
     size_t terminal = 0;
@@ -239,6 +245,34 @@ ServingEngine::inject(const Request& r)
                              return at < p->arrival;
                          }),
         q);
+}
+
+void
+ServingEngine::postInstant(const ClusterInstant& ci)
+{
+    Run& s = *run_;
+    s.instants.insert(
+        std::upper_bound(s.instants.begin() +
+                             static_cast<std::ptrdiff_t>(s.instantIdx),
+                         s.instants.end(), ci,
+                         [](const ClusterInstant& a, const ClusterInstant& b) {
+                             if (a.at != b.at)
+                                 return a.at < b.at;
+                             return a.kind < b.kind;
+                         }),
+        ci);
+}
+
+void
+ServingEngine::holdOpen(bool open)
+{
+    run_->open = open;
+}
+
+bool
+ServingEngine::allTerminal() const
+{
+    return run_->terminal >= run_->total();
 }
 
 size_t
@@ -366,7 +400,7 @@ ServingEngine::step(dam::Cycle until)
         return StallError(std::move(d));
     };
 
-    while (terminal < s.total()) {
+    while (terminal < s.total() || s.open) {
         if (res.iterations >= kMaxIterations)
             throw buildStall("iteration bound exceeded without progress");
 
@@ -389,22 +423,28 @@ ServingEngine::step(dam::Cycle until)
             const dam::Cycle crash_at =
                 has_crash ? faults.downs[s.downIdx].failAt
                           : ReplicaFaultTimeline::kNoEvent;
-            const bool has_instant =
-                s.instantIdx < cfg_.clusterInstants.size() &&
-                cfg_.clusterInstants[s.instantIdx].at <= now;
+            const bool has_instant = s.instantIdx < s.instants.size() &&
+                                     s.instants[s.instantIdx].at <= now;
             const bool has_drain = s.drainIdx < drain_edges.size() &&
                                    drain_edges[s.drainIdx] <= now;
             const dam::Cycle inst_at =
-                has_instant ? cfg_.clusterInstants[s.instantIdx].at
+                has_instant ? s.instants[s.instantIdx].at
                             : ReplicaFaultTimeline::kNoEvent;
             const dam::Cycle drain_at =
                 has_drain ? drain_edges[s.drainIdx]
                           : ReplicaFaultTimeline::kNoEvent;
             if (has_instant && inst_at <= arr_at && inst_at <= crash_at &&
                 inst_at <= drain_at) {
-                const ClusterInstant& ci =
-                    cfg_.clusterInstants[s.instantIdx++];
-                if (trace_) [[unlikely]]
+                const ClusterInstant& ci = s.instants[s.instantIdx++];
+                // A breaker edge that leaves the state as it was
+                // (overlapping windows) wakes the engine but is not
+                // traced again: the trace shows state changes only.
+                bool repeat = false;
+                if (ci.kind != ClusterInstant::AutoscaleActive) {
+                    repeat = ci.kind == s.breakerShown;
+                    s.breakerShown = ci.kind;
+                }
+                if (trace_ && !repeat) [[unlikely]]
                     trace_->instant(clusterInstantName(ci.kind), ci.at,
                                     -1, ci.value);
                 continue;
@@ -523,7 +563,7 @@ ServingEngine::step(dam::Cycle until)
             }
             break;
         }
-        if (terminal >= s.total())
+        if (terminal >= s.total() && !s.open)
             break;
         if (now >= until)
             return;
@@ -580,11 +620,14 @@ ServingEngine::step(dam::Cycle until)
                 throw buildStall(
                     "head-of-line request can never be admitted");
             }
-            if (terminal >= s.total())
+            if (terminal >= s.total() && !s.open)
                 break;
-            if (!s.pending())
+            if (s.pending())
+                now = std::min(s.pending()->arrival, until);
+            else if (s.open)
+                now = until; // idle until the coordinator feeds more
+            else
                 throw buildStall("idle with unfinished requests");
-            now = std::min(s.pending()->arrival, until);
             continue;
         }
 
@@ -682,12 +725,11 @@ ServingEngine::step(dam::Cycle until)
                 iter_cycles = std::max<dam::Cycle>(
                     1, std::min(iter_cycles,
                                 drain_edges[s.drainIdx] - now));
-            if (s.instantIdx < cfg_.clusterInstants.size() &&
-                cfg_.clusterInstants[s.instantIdx].at > now)
+            if (s.instantIdx < s.instants.size() &&
+                s.instants[s.instantIdx].at > now)
                 iter_cycles = std::max<dam::Cycle>(
                     1, std::min(iter_cycles,
-                                cfg_.clusterInstants[s.instantIdx].at -
-                                    now));
+                                s.instants[s.instantIdx].at - now));
             // ... and on the step's end (until > now here).
             iter_cycles = std::min(iter_cycles, until - now);
         }

@@ -99,15 +99,6 @@ struct EngineConfig
      */
     SlowdownDrainConfig drain;
     /**
-     * Cluster-scope instants (breaker flips, autoscale steps) for this
-     * replica's trace, sorted by cycle. The engine emits each from its
-     * own loop when the clock passes it — the sink is single-writer, so
-     * the coordinator cannot append them itself. Empty (default) emits
-     * nothing.
-     */
-    std::vector<ClusterInstant> clusterInstants;
-
-    /**
      * Keep one arena-backed decoder graph across batching iterations
      * and rearm it in place, retargeting it when the decode batch size
      * changes (see runDecoderIteration), instead of building a cold
@@ -187,6 +178,23 @@ class ServingEngine
     /** Add an incarnation arriving at r.arrival; one stamped behind the
      *  clock is delivered at the next boundary and keeps its stamp. */
     void inject(const Request& r);
+    /**
+     * Add a cluster-scope instant (breaker flip, autoscale step) to this
+     * replica's trace. The engine emits each from its own loop when the
+     * clock passes it — the sink is single-writer, so the coordinator
+     * cannot append it itself — and wakes analytic prefill iterations on
+     * it; one stamped behind the clock is emitted at the next boundary.
+     */
+    void postInstant(const ClusterInstant& ci);
+    /**
+     * While held open, step() runs to its @p until even once every known
+     * request is terminal, delivering crashes and instants on the way:
+     * a coordinator still feeding arrivals through inject() needs the
+     * idle replica's clock and fault timeline to keep pace with it.
+     */
+    void holdOpen(bool open);
+    /** Every request injected or begun so far is terminal. */
+    bool allTerminal() const;
     /** Check the end-of-run invariants, append the injected incarnations
      *  to the begin() vector in injection order, and summarize it. */
     EngineResult finish();

@@ -144,15 +144,12 @@ HealthMonitor::observeWindow(uint64_t failed, uint64_t first_tokens,
 }
 
 BreakerTimeline
-HealthMonitor::finish()
+HealthMonitor::timeline() const
 {
-    if (open_) {
-        // Still open when the telemetry ends: permanent, like a
-        // plan-derived breaker for an unrecovered crash.
-        tl_.open.push_back({openAt_, 0});
-        open_ = false;
-    }
-    return std::move(tl_);
+    BreakerTimeline tl = tl_;
+    if (open_)
+        tl.open.push_back({openAt_, 0});
+    return tl;
 }
 
 BreakerTimeline
@@ -189,7 +186,7 @@ inferBreakerTimeline(const obs::MetricsRegistry& m,
         }
         hm.observeWindow(failed, first_tokens, p95);
     }
-    return hm.finish();
+    return hm.timeline();
 }
 
 // ---- overload brown-out ------------------------------------------------
@@ -399,6 +396,69 @@ pickResilientTarget(const std::vector<int64_t>& load,
         }
     }
     return best;
+}
+
+// ---- health-scored routing ---------------------------------------------
+
+HealthScoredRouter::HealthScoredRouter(
+    const FaultPlan& plan, const std::vector<AutoscaleStep>& autoscale,
+    int64_t replicas, const ResilienceConfig& cfg,
+    const std::vector<double>* bwScales)
+    : plan_(plan), autoscale_(autoscale), bwScales_(bwScales),
+      replicas_(replicas),
+      affinityLoadFactor_(cfg.remotePrefix.affinityLoadFactor),
+      halfOpenLoadPenalty_(cfg.breaker.halfOpenLoadPenalty),
+      probeWindow_(cfg.breakerSource == BreakerSource::Telemetry
+                       ? cfg.health.windowCycles
+                       : 0),
+      load_(size_t(replicas), 0), probed_(size_t(replicas), -1)
+{}
+
+void
+HealthScoredRouter::route(const std::vector<Request>& reqs, size_t first,
+                          size_t last,
+                          const std::vector<BreakerTimeline>& breakers,
+                          std::vector<int64_t>& assignment)
+{
+    for (size_t i = first; i < last; ++i) {
+        auto r = size_t(assignment[i]);
+        const dam::Cycle at = reqs[i].arrival;
+        const uint64_t key = reqs[i].affinityKey;
+        // A session lives where its first turn actually landed — if
+        // that was itself remapped, later turns follow it (the warm
+        // cache is there, not at the base router's pick).
+        const auto it = key != 0 ? sticky_.find(key) : sticky_.end();
+        const bool owned = it != sticky_.end();
+        if (owned && it->second != r) {
+            r = it->second;
+            assignment[i] = int64_t(r);
+        }
+        const bool parked =
+            int64_t(r) >= autoscaleActiveAt(autoscale_, at, replicas_);
+        bool unhealthy = !plan_.aliveAt(int64_t(r), at) || (parked && !owned);
+        if (!unhealthy && breakers[r].openAt(at)) {
+            const int64_t window =
+                probeWindow_ > 0 ? int64_t(at / probeWindow_) : -1;
+            if (window >= 0 && probed_[r] != window)
+                probed_[r] = window; // this arrival is the window's probe
+            else
+                unhealthy = true;
+        }
+        if (unhealthy) {
+            const int64_t best = pickResilientTarget(
+                load_, plan_, breakers, autoscale_, at,
+                /*affinityOwner=*/-1, affinityLoadFactor_,
+                halfOpenLoadPenalty_, bwScales_,
+                reqs[i].promptLen + reqs[i].outputLen);
+            if (best >= 0) {
+                r = size_t(best);
+                assignment[i] = best;
+            }
+        }
+        if (key != 0)
+            sticky_[key] = r; // remaps move the session's home
+        load_[r] += reqs[i].promptLen + reqs[i].outputLen;
+    }
 }
 
 // ---- cluster-level instants -------------------------------------------

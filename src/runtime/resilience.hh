@@ -5,7 +5,8 @@
  * graceful degradation. Four pieces, all seeded-deterministic:
  *
  *  - Circuit breakers: per-replica health timelines precomputed from the
- *    fault plan. A breaker opens on a crash or on a sustained deep
+ *    fault plan, or learned online by a HealthMonitor from each closed
+ *    telemetry window. A breaker opens on a crash or on a sustained deep
  *    slowdown (after a detection lag), half-opens deterministically
  *    after a cooldown, and closes again; the router and the failover
  *    target selection consult it, so a degraded replica stops receiving
@@ -33,13 +34,14 @@
  * Everything here is a pure pre-pass or a pure function of its
  * arguments: breaker timelines, autoscale steps, and placement
  * decisions are computed on the coordinating thread before the replica
- * simulations or at their failover barriers, so faulty runs stay
+ * simulations or at their co-simulation barriers, so faulty runs stay
  * bit-identical across replays and worker-thread counts.
  */
 #pragma once
 
 #include <cstdint>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "runtime/faults.hh"
@@ -111,12 +113,15 @@ BreakerTimeline computeBreakerTimeline(const ReplicaFaultTimeline& t,
  * Where the cluster's breaker timelines come from. Plan (the default)
  * derives them from the fault plan's ground truth via
  * computeBreakerTimeline. Telemetry infers them *online* from each
- * replica's windowed metrics — failed-request counts and windowed p95
- * TTFT — the production-faithful variant: it only knows what a client-
- * side monitor could observe, so it detects crashes one window late,
- * needs consecutive evidence for slowdowns, can miss a fault an idle
- * replica never surfaces, and can open on load-induced latency the
- * plan never scripted (the divergence-under-noise the tests pin).
+ * replica's closed health windows — failed-request counts and windowed
+ * p95 TTFT — the production-faithful variant: the cluster pauses every
+ * replica at each window edge, feeds one HealthMonitor per replica, and
+ * routes the next window's arrivals with the states known at that edge.
+ * It only knows what a client-side monitor could observe, so it detects
+ * crashes one window late, needs consecutive evidence for slowdowns,
+ * can miss a fault an idle replica never surfaces, and can open on
+ * load-induced latency the plan never scripted (the divergence-under-
+ * noise the tests pin).
  */
 enum class BreakerSource : uint8_t { Plan, Telemetry };
 
@@ -153,9 +158,9 @@ struct HealthMonitorConfig
 /**
  * Streaming per-replica breaker-state machine over closed telemetry
  * windows. Feed windows in increasing index order (one observeWindow
- * per window, empty ones included); finish() seals a still-open
- * breaker as permanent and returns the inferred timeline. Pure state
- * machine over its inputs — bit-deterministic like the plan pre-pass.
+ * per window, empty ones included); timeline() is what is known so far,
+ * exact up to the next window's close. Pure state machine over its
+ * inputs — bit-deterministic like the plan pre-pass.
  */
 class HealthMonitor
 {
@@ -167,7 +172,12 @@ class HealthMonitor
     void observeWindow(uint64_t failed, uint64_t first_tokens,
                        uint64_t p95_ttft);
 
-    BreakerTimeline finish();
+    /** The timeline as of the last closed window: a breaker still open
+     *  stays open until further notice (end 0; permanent once the
+     *  telemetry ends, like a plan-derived breaker for an unrecovered
+     *  crash). No decision can land before the next window closes, so
+     *  its states are exact until then. */
+    BreakerTimeline timeline() const;
 
   private:
     HealthMonitorConfig cfg_;
@@ -180,12 +190,12 @@ class HealthMonitor
 };
 
 /**
- * Infer one replica's breaker timeline from its metrics registry
- * (instruments `requests_failed` and `ttft_cycles`; the registry's
- * window width must equal cfg.windowCycles). This is the ROADMAP's
- * "breaker feedback from observed latency" follow-on: the cluster runs
- * an observation pass with metrics on, infers timelines per replica,
- * and the resilient run consults them exactly like plan-derived ones.
+ * Infer one replica's breaker timeline offline from its metrics
+ * registry (instruments `requests_failed` and `ttft_cycles`; the
+ * registry's window width must equal cfg.windowCycles). The reference
+ * the online monitor is checked against: a telemetry run with metrics at
+ * the health window width feeds its monitors exactly these windows, so
+ * this returns that run's ClusterResult::breakers.
  */
 BreakerTimeline inferBreakerTimeline(const obs::MetricsRegistry& m,
                                      const HealthMonitorConfig& cfg);
@@ -401,18 +411,67 @@ struct ResilienceConfig
     AutoscaleConfig autoscale;
     /**
      * Plan: breakers from computeBreakerTimeline (ground truth).
-     * Telemetry: the cluster first runs an observation pass (the plain
-     * fault tier, metrics force-enabled at health.windowCycles, no
-     * resilience machinery) and infers each replica's timeline with
-     * inferBreakerTimeline; the resilient run then consults the
-     * inferred timelines everywhere the plan-derived ones are used.
-     * Engine-side slowdown drains stay plan-driven either way — they
-     * model the replica's own local detection, not the cluster
-     * monitor. Plan-source runs are byte-identical to builds without
-     * this knob.
+     * Telemetry: one HealthMonitor per replica, fed at co-simulation
+     * barriers on every health.windowCycles edge; the router and
+     * failover placement consult the states known at the latest edge,
+     * and an open breaker whose replica is alive takes one probe
+     * arrival per window (see HealthScoredRouter). Engine-side slowdown
+     * drains stay plan-driven either way — they model the replica's own
+     * local detection, not the cluster monitor. Plan-source runs are
+     * byte-identical to builds without this knob.
      */
     BreakerSource breakerSource = BreakerSource::Plan;
     HealthMonitorConfig health;
+};
+
+// ---- health-scored routing ---------------------------------------------
+
+/**
+ * The resilience tier's remap of a base routing: beyond liveness, the
+ * router consults the breakers and the autoscaler's step timeline. A
+ * request whose chosen replica is down or breaker-open at arrival moves
+ * to the pickResilientTarget choice; autoscale-parked replicas stop
+ * receiving *fresh* placements, but sticky sessions they already own
+ * stay (cache affinity outranks parking), and a session follows its
+ * first turn wherever that landed.
+ *
+ * Stateful over the trace, so it can run in one shot (plan breakers,
+ * fixed before any simulation) or window by window (telemetry breakers,
+ * each window routed with the states known at its opening edge): fed
+ * the same breakers, both give the same assignment. Under
+ * BreakerSource::Telemetry an open breaker's replica, once alive, lets
+ * one arrival per health window through as a probe — an open replica
+ * is routed around, its quiet windows are neutral, and without probes
+ * nothing would ever bring the healthy first tokens that close it.
+ */
+class HealthScoredRouter
+{
+  public:
+    /** @p plan, @p autoscale and @p bwScales (may be null) must outlive
+     *  the router. */
+    HealthScoredRouter(const FaultPlan& plan,
+                       const std::vector<AutoscaleStep>& autoscale,
+                       int64_t replicas, const ResilienceConfig& cfg,
+                       const std::vector<double>* bwScales);
+
+    /** Remap @p assignment[i] for i in [first, last), in trace order;
+     *  call with consecutive ranges. */
+    void route(const std::vector<Request>& reqs, size_t first, size_t last,
+               const std::vector<BreakerTimeline>& breakers,
+               std::vector<int64_t>& assignment);
+
+  private:
+    const FaultPlan& plan_;
+    const std::vector<AutoscaleStep>& autoscale_;
+    const std::vector<double>* bwScales_;
+    int64_t replicas_;
+    double affinityLoadFactor_;
+    double halfOpenLoadPenalty_;
+    dam::Cycle probeWindow_; ///< 0 = no probes (plan breakers)
+    std::vector<int64_t> load_; ///< worst-case tokens routed so far
+    std::unordered_map<uint64_t, size_t> sticky_; ///< session -> home
+    /** Per replica, the health window of its last probe (-1: none). */
+    std::vector<int64_t> probed_;
 };
 
 } // namespace step::runtime

@@ -16,6 +16,7 @@
 #include <cmath>
 
 #include "helpers.hh"
+#include "obs/metrics.hh"
 #include "runtime/cluster.hh"
 #include "support/error.hh"
 #include "support/rng.hh"
@@ -949,4 +950,38 @@ TEST(EngineFaults, InjectionIntoADeadReplicaFailsWithTheCrash)
         }
     }
     expectAllAccounted(reqs, r.summary);
+}
+
+TEST(EngineFaults, HeldOpenIdleEngineDeliversACrashOnItsCycle)
+{
+    // A coordinator feeding arrivals window by window holds the engine
+    // open: with nothing to serve yet it must still idle forward to
+    // each barrier and deliver the crash there, not at the next arrival.
+    const dam::Cycle crash = 3'000'000, recover = 4'000'000;
+    const dam::Cycle arrival = 9'000'000;
+    auto run = [&](bool hold) {
+        EngineConfig ec;
+        ec.faults.downs.push_back({crash, recover});
+        obs::MetricsConfig mc;
+        mc.enabled = true;
+        mc.windowCycles = 1'000'000;
+        obs::MetricsRegistry m(mc);
+        QueueDepthPolicy policy;
+        std::vector<Request> none;
+        ServingEngine engine(ec, policy);
+        engine.attachMetrics(&m);
+        engine.begin(none);
+        engine.holdOpen(hold);
+        engine.step(crash);
+        engine.inject(mkReq(0, arrival, 64, 4));
+        engine.holdOpen(false);
+        engine.step(ReplicaFaultTimeline::kNoEvent);
+        engine.finish();
+        EXPECT_EQ(none.size(), 1u);
+        EXPECT_EQ(none[0].state, ReqState::Finished);
+        const obs::TimeSeries& faults = m.find("replica_faults")->series;
+        return faults.window(size_t(crash / mc.windowCycles)).count;
+    };
+    EXPECT_EQ(run(true), 1u);
+    EXPECT_EQ(run(false), 0u); // delivered late, with the arrival
 }

@@ -9,7 +9,9 @@
  * tier beats plain failover on tail latency without losing availability,
  * stays thread-count invariant, and — disabled — leaves the plain fault
  * tier's behavior untouched. Migration and telemetry runs simulate each
- * iteration once (the telemetry observation pass is the only extra).
+ * iteration once; the online health monitor sees exactly the metrics
+ * registry's windows, and the windowed health-scored remap reproduces
+ * the one-shot one.
  */
 #include <gtest/gtest.h>
 
@@ -688,7 +690,7 @@ TEST(HealthMonitor, ErrorWindowOpensAtItsCloseEdgeAndHealthyStreakCloses)
     hm.observeWindow(3, 2, 100);  // w1 errors -> open at close (2000)
     hm.observeWindow(0, 8, 100);  // w2 healthy (streak 1)
     hm.observeWindow(0, 9, 100);  // w3 healthy (streak 2) -> close @4000
-    BreakerTimeline tl = hm.finish();
+    BreakerTimeline tl = hm.timeline();
 
     ASSERT_EQ(tl.open.size(), 1u);
     EXPECT_EQ(tl.open[0].start, 2'000u);
@@ -712,9 +714,9 @@ TEST(HealthMonitor, DegradedStreakOpensAfterConsecutiveWindowsOnly)
     hm.observeWindow(0, 5, 100); // w1 healthy resets the streak
     hm.observeWindow(0, 5, 900); // w2 degraded (streak 1)
     hm.observeWindow(0, 5, 900); // w3 degraded (streak 2) -> open @4000
-    BreakerTimeline tl = hm.finish();
+    BreakerTimeline tl = hm.timeline();
 
-    // Never recovered: finish() seals the breaker open forever.
+    // Never recovered: the breaker stays open forever.
     ASSERT_EQ(tl.open.size(), 1u);
     EXPECT_EQ(tl.open[0].start, 4'000u);
     EXPECT_EQ(tl.open[0].end, 0u);
@@ -737,7 +739,7 @@ TEST(HealthMonitor, QuietWindowsAreNeutralInBothDirections)
     hm.observeWindow(0, 5, 100); // w3 healthy (streak 1)
     hm.observeWindow(0, 0, 0);   // w4 quiet: healthy streak survives
     hm.observeWindow(0, 5, 100); // w5 healthy (streak 2) -> close @6000
-    BreakerTimeline tl = hm.finish();
+    BreakerTimeline tl = hm.timeline();
 
     ASSERT_EQ(tl.open.size(), 1u);
     EXPECT_EQ(tl.open[0].start, 3'000u);
@@ -912,8 +914,8 @@ TEST(TelemetryBreaker, TelemetryRunIsThreadCountInvariantAndReplays)
     auto [r4, q4] = run_with(4);
     auto [r1b, q1b] = run_with(1); // same seed replays bit-identically
 
-    // The observation pass and the inferred timelines are coordinator
-    // pre-passes: identical breaker windows whatever the thread count.
+    // The monitors run on the coordinator at window-edge barriers:
+    // identical breaker windows whatever the thread count.
     ASSERT_EQ(r1.breakers.size(), r4.breakers.size());
     for (size_t i = 0; i < r1.breakers.size(); ++i) {
         ASSERT_EQ(r1.breakers[i].open.size(),
@@ -980,23 +982,193 @@ TEST(Resilience, MigrationRunSimulatesEveryIterationOnce)
     EXPECT_EQ(policy.calls(), r.totalIterations);
 }
 
-TEST(TelemetryBreaker, ObservationPassIsTheOnlyExtraSimulation)
+TEST(TelemetryBreaker, TelemetryRunSimulatesEveryIterationOnce)
 {
     TraceConfig tc = sessionClusterTrace(40, 4);
     QueueDepthPolicy inner;
     ClusterConfig cc = migrationCluster(tc, inner);
     cc.resilience.breakerSource = BreakerSource::Telemetry;
-
-    // The observation pass is a plain fault-tier run of the same trace.
-    ClusterConfig plain = cc;
-    plain.resilience.enabled = false;
-    auto observed = generateTrace(tc, deriveSeed(2));
-    const int64_t pass =
-        ServingCluster(plain, inner).run(observed).totalIterations;
-
     test::CountingPolicy policy(inner);
     auto reqs = generateTrace(tc, deriveSeed(2));
     ClusterResult r = ServingCluster(cc, policy).run(reqs);
     expectAccountingCloses(r.aggregate, int64_t(reqs.size()));
-    EXPECT_EQ(policy.calls(), r.totalIterations + pass);
+    EXPECT_EQ(policy.calls(), r.totalIterations);
+    // Every health-window edge up to the last arrival is a barrier.
+    dam::Cycle last_arrival = 0;
+    for (const Request& q : reqs)
+        last_arrival = std::max(last_arrival, q.arrival);
+    EXPECT_GE(r.epochs,
+              int64_t(last_arrival / cc.resilience.health.windowCycles));
+}
+
+namespace {
+
+/** A four-replica session workload under the acceptance plan with the
+ *  autoscaler on, so the remap exercises every rule. */
+ClusterConfig
+remapCluster(const std::vector<Request>& reqs)
+{
+    ClusterConfig cc;
+    cc.replicas = 4;
+    cc.routing = RouteKind::PrefixAffinity;
+    dam::Cycle last_arrival = 0;
+    for (const Request& q : reqs)
+        last_arrival = std::max(last_arrival, q.arrival);
+    cc.faults = acceptancePlan(last_arrival);
+    cc.resilience.enabled = true;
+    cc.resilience.autoscale.enabled = true;
+    cc.resilience.autoscale.minReplicas = 2;
+    return cc;
+}
+
+} // namespace
+
+TEST(HealthScoredRouter, WindowedRemapMatchesTheOneShotRemap)
+{
+    auto reqs = generateTrace(sessionClusterTrace(40, 4), deriveSeed(2));
+    const ClusterConfig cc = remapCluster(reqs);
+    QueueDepthPolicy policy;
+
+    // The base routing: the same router with no faults and no tier.
+    ClusterConfig plain = cc;
+    plain.faults = {};
+    plain.resilience.enabled = false;
+    const std::vector<int64_t> base =
+        ServingCluster(plain, policy).routeTrace(reqs);
+    // The one-shot up-front remap that plan-breaker runs route with.
+    const std::vector<int64_t> oneShot =
+        ServingCluster(cc, policy).routeTrace(reqs);
+
+    // Window by window, as telemetry runs drive it, with plan breakers.
+    std::vector<BreakerTimeline> breakers;
+    for (int64_t r = 0; r < cc.replicas; ++r)
+        breakers.push_back(computeBreakerTimeline(cc.faults.forReplica(r),
+                                                  cc.resilience.breaker));
+    const std::vector<AutoscaleStep> autoscale = computeAutoscaleTimeline(
+        cc.resilience.autoscale, reqs, cc.faults, cc.replicas,
+        double(prefillFlopsPerToken(cc.engine.model,
+                                    cc.engine.model.numLayers)),
+        cc.engine.totalComputeBw);
+    ASSERT_FALSE(autoscale.empty()) << "the autoscaler never stepped";
+    HealthScoredRouter router(cc.faults, autoscale, cc.replicas,
+                              cc.resilience, nullptr);
+    std::vector<int64_t> windowed = base;
+    const dam::Cycle W = cc.resilience.health.windowCycles;
+    size_t first = 0;
+    for (dam::Cycle edge = W; first < reqs.size(); edge += W) {
+        size_t last = first;
+        while (last < reqs.size() && reqs[last].arrival < edge)
+            ++last;
+        router.route(reqs, first, last, breakers, windowed);
+        first = last;
+    }
+
+    EXPECT_EQ(windowed, oneShot);
+    EXPECT_NE(oneShot, base) << "the remap never moved a request";
+}
+
+TEST(HealthScoredRouter, TelemetryProbesAnOpenAliveReplicaOncePerWindow)
+{
+    FaultPlan plan;
+    plan.crashes.push_back({1, 0, 3'000});
+    ResilienceConfig rc;
+    rc.enabled = true;
+    rc.health.windowCycles = 1'000;
+    // Replica 1's breaker is open from 0 until further notice.
+    std::vector<BreakerTimeline> breakers(2);
+    breakers[1].open.push_back({0, 0});
+
+    // Every arrival picks replica 1; two arrivals per window.
+    std::vector<Request> reqs;
+    for (dam::Cycle at = 100; at < 6'000; at += 500) {
+        Request q;
+        q.id = int64_t(reqs.size());
+        q.arrival = at;
+        q.promptLen = 8;
+        q.outputLen = 4;
+        reqs.push_back(q);
+    }
+    const std::vector<AutoscaleStep> none;
+    auto route = [&](BreakerSource source) {
+        rc.breakerSource = source;
+        std::vector<int64_t> a(reqs.size(), 1);
+        HealthScoredRouter(plan, none, 2, rc, nullptr)
+            .route(reqs, 0, reqs.size(), breakers, a);
+        return a;
+    };
+    // Plan breakers never probe: every arrival moves to replica 0.
+    EXPECT_EQ(route(BreakerSource::Plan),
+              std::vector<int64_t>(reqs.size(), 0));
+    // Telemetry: the down replica takes nothing; once it is back (3000),
+    // the first arrival of each window is let through as a probe.
+    EXPECT_EQ(route(BreakerSource::Telemetry),
+              (std::vector<int64_t>{0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 0}));
+}
+
+TEST(HealthMonitor, OpenBreakerOverQuietWindowsClosesOnProbeEvidence)
+{
+    HealthMonitorConfig hc;
+    hc.windowCycles = 1'000;
+    hc.closeAfterHealthy = 2;
+    hc.cooldownCycles = 1'000;
+    HealthMonitor hm(hc);
+    hm.observeWindow(2, 0, 0); // w0: the crash's failures open it @1000
+    for (int w = 1; w < 6; ++w)
+        hm.observeWindow(0, 0, 0); // routed around: quiet, stays open
+    BreakerTimeline tl = hm.timeline();
+    ASSERT_EQ(tl.open.size(), 1u);
+    EXPECT_EQ(tl.open[0].end, 0u) << "quiet windows closed the breaker";
+
+    // One probe per window, each with a healthy first token.
+    hm.observeWindow(0, 1, 100); // w6: healthy (streak 1)
+    hm.observeWindow(0, 1, 100); // w7: healthy (streak 2) -> close @8000
+    tl = hm.timeline();
+    ASSERT_EQ(tl.open.size(), 1u);
+    EXPECT_EQ(tl.open[0].start, 1'000u);
+    EXPECT_EQ(tl.open[0].end, 8'000u);
+    ASSERT_EQ(tl.halfOpen.size(), 1u);
+    EXPECT_EQ(tl.halfOpen[0].start, 8'000u);
+    EXPECT_EQ(tl.halfOpen[0].end, 9'000u);
+}
+
+TEST(TelemetryBreaker, OnlineMonitorSeesTheRegistryWindows)
+{
+    TraceConfig tc = sessionClusterTrace(40, 4);
+    QueueDepthPolicy policy;
+    ClusterConfig cc = migrationCluster(tc, policy);
+    cc.resilience.breakerSource = BreakerSource::Telemetry;
+
+    auto plain_reqs = generateTrace(tc, deriveSeed(2));
+    ClusterResult plain = ServingCluster(cc, policy).run(plain_reqs);
+
+    cc.metrics.enabled = true;
+    cc.metrics.windowCycles = cc.resilience.health.windowCycles;
+    auto reqs = generateTrace(tc, deriveSeed(2));
+    ClusterResult r = ServingCluster(cc, policy).run(reqs);
+    ASSERT_EQ(r.metrics.size(), size_t(cc.replicas));
+    ASSERT_EQ(r.breakers.size(), size_t(cc.replicas));
+
+    auto same = [](const std::vector<BreakerTimeline::Window>& a,
+                   const std::vector<BreakerTimeline::Window>& b) {
+        return a.size() == b.size() &&
+               std::equal(a.begin(), a.end(), b.begin(),
+                          [](const auto& x, const auto& y) {
+                              return x.start == y.start && x.end == y.end;
+                          });
+    };
+    size_t flips = 0;
+    for (size_t i = 0; i < r.breakers.size(); ++i) {
+        // The offline reference over the registry's windows.
+        const BreakerTimeline ref =
+            inferBreakerTimeline(*r.metrics[i], cc.resilience.health);
+        EXPECT_TRUE(same(ref.open, r.breakers[i].open)) << "replica " << i;
+        EXPECT_TRUE(same(ref.halfOpen, r.breakers[i].halfOpen))
+            << "replica " << i;
+        // Metrics are read-only: the metrics-off run learned the same.
+        EXPECT_TRUE(same(plain.breakers[i].open, r.breakers[i].open));
+        flips += r.breakers[i].open.size() + r.breakers[i].halfOpen.size();
+    }
+    EXPECT_GT(flips, 0u) << "no breaker ever opened";
+    EXPECT_EQ(plain.totalIterations, r.totalIterations);
+    EXPECT_EQ(plain.aggregate.makespan, r.aggregate.makespan);
 }
