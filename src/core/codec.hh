@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <new>
 #include <optional>
 #include <string>
 #include <variant>
@@ -70,23 +71,70 @@ class Nested
 class StopCoalescer
 {
   public:
-    /** Up to two tokens produced by one coalescer event; no heap. */
+    /**
+     * Up to two tokens produced by one coalescer event; no heap. Only
+     * pushed tokens are ever constructed, so the common empty or
+     * one-token result builds and destroys no idle Token.
+     */
     class Emit
     {
       public:
-        Token* begin() { return toks_; }
-        Token* end() { return toks_ + n_; }
-        const Token* begin() const { return toks_; }
-        const Token* end() const { return toks_ + n_; }
+        Emit() = default;
+        Emit(Emit&& o) noexcept { adopt(o); }
+        Emit&
+        operator=(Emit&& o) noexcept
+        {
+            if (this != &o) {
+                clear();
+                adopt(o);
+            }
+            return *this;
+        }
+        Emit(const Emit&) = delete;
+        Emit& operator=(const Emit&) = delete;
+        ~Emit() { clear(); }
+
+        Token* begin() { return s_.toks; }
+        Token* end() { return s_.toks + n_; }
+        const Token* begin() const { return s_.toks; }
+        const Token* end() const { return s_.toks + n_; }
         size_t size() const { return n_; }
         bool empty() const { return n_ == 0; }
-        const Token& operator[](size_t i) const { return toks_[i]; }
+        const Token& operator[](size_t i) const { return s_.toks[i]; }
 
       private:
         friend class StopCoalescer;
-        void push(Token t) { toks_[n_++] = std::move(t); }
+        void
+        push(Token t)
+        {
+            new (&s_.toks[n_]) Token(std::move(t));
+            ++n_;
+        }
 
-        Token toks_[2];
+        void
+        adopt(Emit& o) noexcept
+        {
+            for (uint8_t i = 0; i < o.n_; ++i)
+                new (&s_.toks[i]) Token(std::move(o.s_.toks[i]));
+            n_ = o.n_;
+            o.clear();
+        }
+
+        void
+        clear() noexcept
+        {
+            for (uint8_t i = 0; i < n_; ++i)
+                s_.toks[i].~Token();
+            n_ = 0;
+        }
+
+        /** Tokens [0, n_) are live; the rest is unconstructed. */
+        union Slots
+        {
+            Slots() {}
+            ~Slots() {}
+            Token toks[2];
+        } s_;
         uint8_t n_ = 0;
     };
 
@@ -112,11 +160,12 @@ class StopCoalescer
     onStop(uint32_t level)
     {
         Emit out;
-        if (pending_ && *pending_ < level) {
+        if (hasPending_ && pending_ < level) {
             pending_ = level;           // upgrade: nested ends coincide
         } else {
             out = flush();              // same/lower level: genuine stop
             pending_ = level;
+            hasPending_ = true;
         }
         return out;
     }
@@ -130,22 +179,23 @@ class StopCoalescer
     }
 
     /** Drop any buffered stop: back to the freshly-built state (rearm). */
-    void reset() { pending_.reset(); }
+    void reset() { hasPending_ = false; }
 
     /** Force out any buffered stop (used before Done or at barriers). */
     Emit
     flush()
     {
         Emit out;
-        if (pending_) {
-            out.push(Token::stop(*pending_));
-            pending_.reset();
+        if (hasPending_) {
+            out.push(Token::stop(pending_));
+            hasPending_ = false;
         }
         return out;
     }
 
   private:
-    std::optional<uint32_t> pending_;
+    bool hasPending_ = false;
+    uint32_t pending_ = 0; ///< the held stop's level, when hasPending_
 };
 
 /**

@@ -1,5 +1,6 @@
 #include "core/tile.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "support/error.hh"
@@ -12,6 +13,13 @@ Tile::Tile(int64_t rows, int64_t cols, int elem_bytes)
     STEP_ASSERT(rows >= 0 && cols >= 0, "negative tile shape");
 }
 
+void
+Tile::releaseHeap() noexcept
+{
+    if (p_.heap->refs.fetch_sub(1, std::memory_order_acq_rel) == 1)
+        delete p_.heap;
+}
+
 Tile
 Tile::withData(int64_t rows, int64_t cols, std::vector<float> data,
                int elem_bytes)
@@ -19,16 +27,36 @@ Tile::withData(int64_t rows, int64_t cols, std::vector<float> data,
     STEP_ASSERT(static_cast<int64_t>(data.size()) == rows * cols,
                 "payload size " << data.size() << " != " << rows * cols);
     Tile t(rows, cols, elem_bytes);
-    t.data_ = std::make_shared<const std::vector<float>>(std::move(data));
+    if (t.numel() <= kInlineFloats) {
+        std::copy(data.begin(), data.end(), t.p_.inl);
+        t.kind_ = Kind::Inline;
+    } else {
+        t.p_.heap = new HeapBuf{{1}, std::move(data)};
+        t.kind_ = Kind::Heap;
+    }
+    return t;
+}
+
+Tile
+Tile::withData(int64_t rows, int64_t cols, std::initializer_list<float> data,
+               int elem_bytes)
+{
+    if (static_cast<int64_t>(data.size()) > kInlineFloats)
+        return withData(rows, cols, std::vector<float>(data), elem_bytes);
+    STEP_ASSERT(static_cast<int64_t>(data.size()) == rows * cols,
+                "payload size " << data.size() << " != " << rows * cols);
+    Tile t(rows, cols, elem_bytes);
+    std::copy(data.begin(), data.end(), t.p_.inl);
+    t.kind_ = Kind::Inline;
     return t;
 }
 
 Tile
 Tile::zeros(int64_t rows, int64_t cols, int elem_bytes)
 {
-    return withData(rows, cols,
-                    std::vector<float>(static_cast<size_t>(rows * cols)),
-                    elem_bytes);
+    Tile t(rows, cols, elem_bytes);
+    t.kind_ = Kind::Zeros;
+    return t;
 }
 
 float
@@ -38,7 +66,8 @@ Tile::at(int64_t r, int64_t c) const
     STEP_ASSERT(r >= 0 && r < rows_ && c >= 0 && c < cols_,
                 "tile index (" << r << "," << c << ") out of "
                 << rows_ << "x" << cols_);
-    return (*data_)[static_cast<size_t>(r * cols_ + c)];
+    const float* p = ptr();
+    return p ? p[r * cols_ + c] : 0.0f;
 }
 
 bool
@@ -48,9 +77,10 @@ Tile::equals(const Tile& o, float tol) const
         return false;
     if (!hasData() || !o.hasData())
         return true;
+    const float* a = ptr();
+    const float* b = o.ptr();
     for (int64_t i = 0; i < numel(); ++i) {
-        float d = (*data_)[static_cast<size_t>(i)] -
-                  (*o.data_)[static_cast<size_t>(i)];
+        float d = (a ? a[i] : 0.0f) - (b ? b[i] : 0.0f);
         if (std::fabs(d) > tol)
             return false;
     }
@@ -104,6 +134,17 @@ elementwise2(const Tile& a, const Tile& b, int64_t* flops, F&& f)
                           a.elemBytes());
 }
 
+/** Append @p t's payload (zeros when it stores none) to @p out. */
+void
+appendPayload(std::vector<float>& out, const Tile& t)
+{
+    const float* p = t.ptr();
+    if (p)
+        out.insert(out.end(), p, p + t.numel());
+    else
+        out.resize(out.size() + static_cast<size_t>(t.numel()), 0.0f);
+}
+
 } // namespace
 
 Tile
@@ -151,8 +192,8 @@ retileRow(const Tile& a, const Tile& b)
         return Tile(a.rows() + b.rows(), a.cols(), a.elemBytes());
     std::vector<float> out;
     out.reserve(static_cast<size_t>((a.rows() + b.rows()) * a.cols()));
-    out.insert(out.end(), a.data()->begin(), a.data()->end());
-    out.insert(out.end(), b.data()->begin(), b.data()->end());
+    appendPayload(out, a);
+    appendPayload(out, b);
     return Tile::withData(a.rows() + b.rows(), a.cols(), std::move(out),
                           a.elemBytes());
 }
@@ -185,9 +226,10 @@ sliceRows(const Tile& a, int64_t r0, int64_t r1)
                 "sliceRows [" << r0 << "," << r1 << ") of " << a.rows());
     if (!a.hasData())
         return Tile(r1 - r0, a.cols(), a.elemBytes());
-    std::vector<float> out(
-        a.data()->begin() + static_cast<size_t>(r0 * a.cols()),
-        a.data()->begin() + static_cast<size_t>(r1 * a.cols()));
+    const float* p = a.ptr();
+    if (!p)
+        return Tile::zeros(r1 - r0, a.cols(), a.elemBytes());
+    std::vector<float> out(p + r0 * a.cols(), p + r1 * a.cols());
     return Tile::withData(r1 - r0, a.cols(), std::move(out),
                           a.elemBytes());
 }

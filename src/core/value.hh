@@ -7,9 +7,9 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <initializer_list>
-#include <memory>
 #include <new>
 #include <string>
 #include <vector>
@@ -62,13 +62,65 @@ struct BufferRef
 };
 
 class Value;
+struct TupleNode;
 
-/** Tuple payload (from Zip); shared to keep Value cheap to copy. */
-struct TupleVal
+/**
+ * Tuple payload (from Zip; the attention state): a refcounted handle on
+ * a TupleNode, so copying a tuple value (Broadcast fan-out) bumps one
+ * counter and never copies the elements.
+ */
+class TupleVal
 {
-    std::shared_ptr<const std::vector<Value>> elems;
+  public:
+    TupleVal() = default;
+    /** Adopts one reference on @p n. */
+    explicit TupleVal(TupleNode* n) : node_(n) {}
+    TupleVal(const TupleVal& o) noexcept;
+    TupleVal(TupleVal&& o) noexcept : node_(o.node_) { o.node_ = nullptr; }
+    TupleVal& operator=(const TupleVal& o) noexcept;
+    TupleVal& operator=(TupleVal&& o) noexcept;
+    ~TupleVal();
 
+    const std::vector<Value>& elems() const;
     int64_t bytes() const;
+
+  private:
+    friend class Value;
+    TupleNode* node_ = nullptr;
+};
+
+/**
+ * Per-thread free list of tuple nodes, the pattern FramePool uses for
+ * coroutine frames. A node whose last reference drops is cleared (its
+ * elements released) and parked on the releasing thread's list with its
+ * element capacity intact, so the steady-state drain builds tuples
+ * without touching the heap. At most kMaxCached nodes are parked per
+ * thread; the rest, and nodes that grew past kMaxPooledElems, go back to
+ * the heap. A node released on another thread than the one that built it
+ * simply parks there. Parked nodes are freed at trim() or thread exit.
+ */
+class TuplePool
+{
+  public:
+    static constexpr uint32_t kMaxCached = 512;
+    static constexpr size_t kMaxPooledElems = 8;
+
+    struct Stats
+    {
+        uint64_t hits = 0;   ///< nodes served from the free list
+        uint64_t misses = 0; ///< nodes that touched the heap
+        uint64_t cached = 0; ///< nodes currently parked
+    };
+
+    /** A node with no elements and one reference (owned by the caller). */
+    static TupleNode* acquire();
+    /** Recycle a node whose last reference just dropped. */
+    static void recycle(TupleNode* n) noexcept;
+
+    /** Counters for the *calling thread's* pool only. */
+    static Stats stats();
+    /** Free the calling thread's parked nodes. */
+    static void trim();
 };
 
 /**
@@ -79,6 +131,8 @@ struct TupleVal
  * open-coded switch moves (plus same-kind move-assignment reusing the
  * destination in place, the FIFO-slot recycle case) compile to a few
  * stores where the variant machinery dispatches through visit tables.
+ * Tiles are most of the traffic, so copy, move and destroy test for a
+ * tile inline and leave the other kinds to the switch.
  */
 class Value
 {
@@ -97,15 +151,27 @@ class Value
         : kind_(Kind::Tuple), tup_(std::move(t))
     {}
 
-    Value(const Value& o) : kind_(o.kind_) { copyFrom(o); }
+    Value(const Value& o) : kind_(o.kind_)
+    {
+        if (kind_ == Kind::Tile)
+            new (&tile_) Tile(o.tile_);
+        else
+            copyFrom(o);
+    }
 
-    Value(Value&& o) noexcept : kind_(o.kind_) { moveFrom(std::move(o)); }
+    Value(Value&& o) noexcept : kind_(o.kind_)
+    {
+        if (kind_ == Kind::Tile)
+            new (&tile_) Tile(std::move(o.tile_));
+        else
+            moveFrom(std::move(o));
+    }
 
     Value&
     operator=(const Value& o)
     {
-        // Copy-construct first so a throwing payload copy (functional-
-        // mode tiles allocate) cannot leave kind_ pointing at an
+        // Copy-construct first so a throwing payload copy (a spilled
+        // selector allocates) cannot leave kind_ pointing at an
         // unconstructed member; the move assign below is noexcept.
         if (this != &o) {
             Value tmp(o);
@@ -117,28 +183,30 @@ class Value
     Value&
     operator=(Value&& o) noexcept
     {
-        if (this == &o)
-            return *this;
-        if (kind_ == o.kind_) {
-            // In-place member move-assignment: the dominant case when a
-            // recycled FIFO slot receives a token of the same kind.
-            switch (kind_) {
-            case Kind::Tile:      tile_ = std::move(o.tile_); break;
-            case Kind::Selector:  sel_ = std::move(o.sel_); break;
-            case Kind::BufferRef: buf_ = o.buf_; break;
-            case Kind::Tuple:     tup_ = std::move(o.tup_); break;
-            }
+        if (kind_ == Kind::Tile && o.kind_ == Kind::Tile) {
+            tile_ = std::move(o.tile_); // self-move safe
             return *this;
         }
-        destroy();
-        kind_ = o.kind_;
-        moveFrom(std::move(o));
-        return *this;
+        return moveAssignAnyKind(std::move(o));
     }
 
-    ~Value() { destroy(); }
+    ~Value()
+    {
+        if (kind_ == Kind::Tile)
+            tile_.~Tile();
+        else
+            destroy();
+    }
 
-    static Value tuple(std::vector<Value> elems);
+    /** Tuple of copies of @p elems. */
+    static Value tuple(std::initializer_list<Value> elems);
+
+    /**
+     * Tuple built in place: @p fill appends the elements to an empty
+     * vector that keeps the capacity of a recycled node.
+     */
+    template <typename Fill>
+    static Value tupleOf(Fill&& fill);
 
     bool isTile() const { return kind_ == Kind::Tile; }
     bool isSelector() const { return kind_ == Kind::Selector; }
@@ -160,38 +228,14 @@ class Value
   private:
     enum class Kind : uint8_t { Tile, Selector, BufferRef, Tuple };
 
-    void
-    copyFrom(const Value& o)
-    {
-        switch (kind_) {
-        case Kind::Tile:      new (&tile_) Tile(o.tile_); break;
-        case Kind::Selector:  new (&sel_) Selector(o.sel_); break;
-        case Kind::BufferRef: new (&buf_) BufferRef(o.buf_); break;
-        case Kind::Tuple:     new (&tup_) TupleVal(o.tup_); break;
-        }
-    }
+    /** Move-assignment when either side is not a tile. */
+    Value& moveAssignAnyKind(Value&& o) noexcept;
 
-    void
-    moveFrom(Value&& o) noexcept
-    {
-        switch (kind_) {
-        case Kind::Tile:      new (&tile_) Tile(std::move(o.tile_)); break;
-        case Kind::Selector:  new (&sel_) Selector(std::move(o.sel_)); break;
-        case Kind::BufferRef: new (&buf_) BufferRef(o.buf_); break;
-        case Kind::Tuple:     new (&tup_) TupleVal(std::move(o.tup_)); break;
-        }
-    }
-
-    void
-    destroy() noexcept
-    {
-        switch (kind_) {
-        case Kind::Tile:      tile_.~Tile(); break;
-        case Kind::Selector:  sel_.~Selector(); break;
-        case Kind::BufferRef: break; // trivially destructible
-        case Kind::Tuple:     tup_.~TupleVal(); break;
-        }
-    }
+    // Kind-dispatched payload lifetime, out of line: the inline paths
+    // above handle tiles, these the rest.
+    void copyFrom(const Value& o);
+    void moveFrom(Value&& o) noexcept;
+    void destroy() noexcept;
 
     Kind kind_;
     union {
@@ -201,6 +245,64 @@ class Value
         TupleVal tup_;
     };
 };
+
+static_assert(sizeof(Value) == 48, "Value must stay a 48-byte block");
+
+/** Refcounted tuple storage; pooled by TuplePool. */
+struct TupleNode
+{
+    std::atomic<uint32_t> refs{1};
+    std::vector<Value> elems;
+    TupleNode* next = nullptr; ///< free-list link while parked
+};
+
+inline TupleVal::TupleVal(const TupleVal& o) noexcept : node_(o.node_)
+{
+    if (node_)
+        node_->refs.fetch_add(1, std::memory_order_relaxed);
+}
+
+inline TupleVal&
+TupleVal::operator=(const TupleVal& o) noexcept
+{
+    TupleVal tmp(o);
+    return *this = std::move(tmp);
+}
+
+inline TupleVal&
+TupleVal::operator=(TupleVal&& o) noexcept
+{
+    if (this != &o) {
+        TupleNode* old = node_;
+        node_ = o.node_;
+        o.node_ = nullptr;
+        if (old && old->refs.fetch_sub(1, std::memory_order_acq_rel) == 1)
+            TuplePool::recycle(old);
+    }
+    return *this;
+}
+
+inline TupleVal::~TupleVal()
+{
+    if (node_ && node_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1)
+        TuplePool::recycle(node_);
+}
+
+inline const std::vector<Value>&
+TupleVal::elems() const
+{
+    STEP_ASSERT(node_, "empty tuple handle");
+    return node_->elems;
+}
+
+template <typename Fill>
+Value
+Value::tupleOf(Fill&& fill)
+{
+    TupleVal t(TuplePool::acquire());
+    fill(t.node_->elems);
+    return Value(std::move(t));
+}
 
 inline const Tile&
 Value::tile() const
@@ -227,7 +329,7 @@ inline const std::vector<Value>&
 Value::tupleElems() const
 {
     STEP_ASSERT(isTuple(), "value is not a tuple: " << toString());
-    return *tup_.elems;
+    return tup_.elems();
 }
 
 inline int64_t

@@ -316,8 +316,7 @@ RandomOffChipStoreOp::run()
                 base_ + static_cast<uint64_t>(idx * blockStride_), bytes,
                 now(), true);
             busyAdvance(1);
-            Token ack = Token::data(
-                Tile::withData(1, 1, std::vector<float>{1.0f}, 1));
+            Token ack = Token::data(Tile::withData(1, 1, {1.0f}, 1));
             co_await ack_.ch->writeAt(*this, std::move(ack), done_at);
         } else if (ta.isStop()) {
             STEP_EMIT_RAW(ack_.ch, ta);

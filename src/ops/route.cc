@@ -162,15 +162,20 @@ ReassembleOp::run()
             std::vector<uint32_t>& sel = selScratch_;
             // Collect in availability order: inputs whose head token is
             // already present go first (by ready time), the rest last.
-            std::stable_sort(sel.begin(), sel.end(),
-                [&](uint32_t a, uint32_t c) {
-                    auto key = [&](uint32_t i) -> dam::Cycle {
-                        const auto* ch = ins_[i].ch;
-                        return ch->empty() ? ~dam::Cycle{0}
-                                           : ch->frontTime();
-                    };
-                    return key(a) < key(c);
-                });
+            // Stable insertion sort over the <= P picks: std::stable_sort
+            // would take a temporary buffer from the heap every time.
+            auto key = [&](uint32_t i) -> dam::Cycle {
+                const auto* ch = ins_[i].ch;
+                return ch->empty() ? ~dam::Cycle{0} : ch->frontTime();
+            };
+            for (size_t j = 1; j < sel.size(); ++j) {
+                const uint32_t x = sel[j];
+                const dam::Cycle kx = key(x);
+                size_t k = j;
+                for (; k > 0 && kx < key(sel[k - 1]); --k)
+                    sel[k] = sel[k - 1];
+                sel[k] = x;
+            }
             for (size_t si = 0; si < sel.size(); ++si) {
                 uint32_t i = sel[si];
                 STEP_ASSERT(i < ins_.size(), "selector index " << i

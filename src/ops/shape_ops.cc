@@ -250,8 +250,7 @@ ReshapeOp::run()
                     STEP_EMIT(out_.ch, coal_.onData(*pad_));
                     if (padOut_.ch) {
                         STEP_EMIT(padOut_.ch, padCoal_.onData(
-                            Tile::withData(1, 1,
-                                           std::vector<float>{1.0f}, 1)));
+                            Tile::withData(1, 1, {1.0f}, 1)));
                     }
                     ++count;
                 }
@@ -464,14 +463,15 @@ ZipOp::ZipOp(Graph& g, const std::string& name, std::vector<StreamPort> ins)
     out_ = StreamPort{&g.makeChannel(name + ".out"), ins_[0].shape,
                       DataType::tuple(std::move(dts))};
     out_.ch->setProducer(this);
+    ts_.reserve(ins_.size());
 }
 
 dam::SimTask
 ZipOp::run()
 {
+    std::vector<Token>& ts = ts_;
     while (true) {
-        std::vector<Token> ts;
-        ts.reserve(ins_.size());
+        ts.clear();
         for (auto& p : ins_)
             ts.push_back(co_await p.ch->read(*this));
         busyAdvance(1);
@@ -484,12 +484,11 @@ ZipOp::run()
         }
         if (ts[0].isData()) {
             ++elements_;
-            std::vector<Value> vals;
-            vals.reserve(ts.size());
-            for (auto& t : ts)
-                vals.push_back(t.value());
-            STEP_EMIT_RAW(out_.ch, Token::data(Value::tuple(
-                std::move(vals))));
+            STEP_EMIT_RAW(out_.ch, Token::data(Value::tupleOf(
+                [&ts](std::vector<Value>& vals) {
+                    for (Token& t : ts)
+                        vals.push_back(t.takeValue());
+                })));
         } else {
             bool done = ts[0].isDone();
             STEP_EMIT_RAW(out_.ch, ts[0]);

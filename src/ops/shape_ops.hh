@@ -232,6 +232,8 @@ class ZipOp : public OpBase
   private:
     std::vector<StreamPort> ins_;
     StreamPort out_;
+    /** One token per input; reserved at build so zipping never allocates. */
+    std::vector<Token> ts_;
 };
 
 /**

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests of the stop-token protocol: encode/decode round trips, the
- * paper's example streams, stop coalescing, empty groups, and
- * well-formedness checking.
+ * paper's example streams, stop coalescing (and the coalescer's inline
+ * result), empty groups, and well-formedness checking.
  */
 #include <gtest/gtest.h>
 
@@ -121,6 +121,26 @@ TEST(Codec, CoalescerKeepsEmptyGroups)
     push(c.onData(test::val(1)));
     push(c.onDone());
     EXPECT_EQ(tokensToString(out), "S1, S1, Tile[1x1]{1}, D");
+}
+
+TEST(Codec, CoalescerEmitMovesOwnTheirTokens)
+{
+    // An Emit constructs only the tokens it holds; moving one hands them
+    // over and move-assigning drops the tokens it held before.
+    StopCoalescer c;
+    const Tile big = Tile::withData(1, 5, {1, 2, 3, 4, 5});
+    EXPECT_TRUE(c.onStop(1).empty());
+    StopCoalescer::Emit e = c.onData(big);
+    ASSERT_EQ(e.size(), 2u);
+    StopCoalescer::Emit moved = std::move(e);
+    EXPECT_TRUE(e.empty());
+    ASSERT_EQ(moved.size(), 2u);
+    EXPECT_TRUE(moved[0].isStop());
+    EXPECT_EQ(moved[1].value().tile().ptr(), big.ptr()); // shared payload
+    moved = c.onDone();
+    ASSERT_EQ(moved.size(), 1u);
+    EXPECT_TRUE(moved[0].isDone());
+    EXPECT_FLOAT_EQ(big.at(0, 4), 5.0f);
 }
 
 TEST(Codec, WellFormedAcceptsValid)
