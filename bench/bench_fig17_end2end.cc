@@ -73,7 +73,28 @@ runConfig(const ModelConfig& cfg, Tiling tiling, int64_t tile,
     p.moeRegions = moe_regions;
     p.attnStrategy = attn;
     p.seed = seed;
-    return runEndToEnd(p, layers, seed);
+    // Each layer draws its own routing and KV batch. Time, traffic and
+    // flops sum over layers; the hardware footprint (on-chip memory,
+    // allocated compute) is the same chip's, so it takes the max.
+    EndToEndResult agg;
+    dam::Scheduler sched;
+    for (int64_t l = 0; l < layers; ++l) {
+        Rng rng(seed * 1000003 + static_cast<uint64_t>(l));
+        IterationSpec spec;
+        spec.trace = generateExpertTrace(rng, p.batch, cfg.numExperts,
+                                         cfg.topK);
+        spec.kvLens = sampleKvBatch(seed + static_cast<uint64_t>(l),
+                                    p.batch, KvVarClass::Med);
+        SimResult r = runDecoderIteration(p, spec, &sched);
+        agg.cycles += r.cycles;
+        agg.offChipBytes += r.offChipBytes;
+        agg.totalFlops += r.totalFlops;
+        agg.onChipPeakBytes = std::max(agg.onChipPeakBytes,
+                                       r.onChipPeakBytes);
+        agg.allocatedComputeBw = std::max(agg.allocatedComputeBw,
+                                          r.allocatedComputeBw);
+    }
+    return agg;
 }
 
 } // namespace

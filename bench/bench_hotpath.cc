@@ -298,18 +298,16 @@ runServing(int reps)
 
     ServingResult res;
     {
-        // Rearm fast path: the structural key never changes, so every
-        // iteration after the first patches the recycled graph in
-        // place.
-        GraphArena arena;
-        Graph g(SimConfig{}, &arena);
-        DecoderRearmHandles handles;
-        runDecoderIteration(p, spec, &sched, &g, &handles); // build
-        runDecoderIteration(p, spec, &sched, &g, &handles); // first rearm
+        // Rearm fast path (the engine's): every iteration after the
+        // first patches the built graph in place.
+        IterationGraph ig(p);
+        const Graph& g = ig.graph();
+        ig.run(p, spec, sched); // build
+        ig.run(p, spec, sched); // first rearm
         res.eventsPerIter = g.totalChannelTokens();
         auto t0 = Clk::now();
         for (int r = 0; r < reps; ++r)
-            runDecoderIteration(p, spec, &sched, &g, &handles);
+            ig.run(p, spec, sched);
         double s = seconds(t0, Clk::now());
         res.rearmItersPerSec = reps / s;
         res.rearmEventsPerSec =
@@ -319,7 +317,7 @@ runServing(int reps)
         // repeated rearm is idempotent).
         t0 = Clk::now();
         for (int r = 0; r < reps; ++r)
-            rearmDecoderLayer(g, handles, p, spec);
+            ig.arm(p, spec);
         res.rearmBuildUs = seconds(t0, Clk::now()) / reps * 1e6;
 
         // Allocations of the rearmed graph's drain() alone, as the
@@ -349,25 +347,30 @@ runServing(int reps)
                                            p.cfg.topK);
             specs.push_back(std::move(bs));
         }
-        GraphArena arena;
-        Graph g(SimConfig{}, &arena);
-        DecoderRearmHandles handles;
+        IterationGraph ig(p);
         for (const IterationSpec& bs : specs) // build, warm every B
-            runDecoderIteration(p, bs, &sched, &g, &handles);
+            ig.run(p, bs, sched);
         auto t0 = Clk::now();
         for (int r = 0; r < reps; ++r)
-            runDecoderIteration(p, specs[static_cast<size_t>(r) % 3],
-                                &sched, &g, &handles);
+            ig.run(p, specs[static_cast<size_t>(r) % 3], sched);
         res.retargetItersPerSec = reps / seconds(t0, Clk::now());
     }
     {
-        // Recycle + rebuild every iteration (the PR-2 path).
+        // Recycle + rebuild every iteration on an arena-backed graph:
+        // what a caller that changes the layer structure pays.
         GraphArena arena;
         Graph g(SimConfig{}, &arena);
-        runDecoderIteration(p, spec, &sched, &g); // warmup
+        const SimConfig sc = iterationSimConfig(
+            static_cast<int64_t>(spec.kvLens.size()));
+        auto recycled = [&] {
+            g.recycle(sc);
+            buildDecoderLayer(g, p, spec.trace, spec.kvLens);
+            (void)g.run(sched);
+        };
+        recycled(); // warmup
         auto t0 = Clk::now();
         for (int r = 0; r < reps; ++r)
-            runDecoderIteration(p, spec, &sched, &g);
+            recycled();
         res.recycledItersPerSec = reps / seconds(t0, Clk::now());
     }
     {

@@ -127,8 +127,8 @@ class Graph
      * per-iteration parameters are patched through OpBase::rearm().
      * This skips the ~190 operator constructors a recycle+rebuild pays
      * and is valid only while the operator set and channel wiring are
-     * unchanged — callers key on a structural fingerprint and fall
-     * back to recycle() + rebuild on mismatch.
+     * unchanged — callers key on a structural fingerprint (see
+     * IterationGraph) and need a new build on mismatch.
      *
      * Channel depth is not structural: every channel created with the
      * config's default capacity takes @p cfg.channelCapacity, so a

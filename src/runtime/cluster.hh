@@ -4,9 +4,9 @@
  * single-engine serving runtime. One ServingEngine is single-threaded by
  * design (deterministic virtual time); a ServingCluster splits a request
  * trace across N shared-nothing replica engines — each with its own
- * Scheduler, GraphArena, rearm handles, and thread-local coroutine-frame
- * pool — runs each replica's simulation in a worker thread, and merges
- * the per-replica results into one aggregate with percentiles recomputed
+ * Scheduler, IterationGraph, and thread-local coroutine-frame pool —
+ * runs each replica's simulation in a worker thread, and merges the
+ * per-replica results into one aggregate with percentiles recomputed
  * over the union of raw latency samples. This mirrors how continuous-
  * batching serving systems scale out: replicas behind a router, sharing
  * nothing but the request stream.

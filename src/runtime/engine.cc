@@ -106,12 +106,37 @@ counterViews(const MetricsInstruments& mtr)
     return views;
 }
 
+/** The iteration-graph parameters every decode iteration shares; an
+ *  iteration sets only the batch size and the matmul bandwidths. */
+DecoderParams
+iterationParams(const EngineConfig& c)
+{
+    DecoderParams dp;
+    dp.cfg = c.model;
+    dp.attnStrategy = c.attnStrategy;
+    dp.attnRegions = c.attnRegions;
+    dp.kvTileRows = c.kvTileRows;
+    dp.moeRegions = c.moeRegions;
+    dp.moeTile = c.moeTile;
+    dp.denseTile = c.denseTile;
+    dp.weightTileCols = c.weightTileCols;
+    dp.seed = c.seed;
+    return dp;
+}
+
 } // namespace
 
 EngineConfig::EngineConfig() : model(servingSimConfig()) {}
 
 ServingEngine::ServingEngine(EngineConfig cfg, const Policy& policy)
-    : cfg_(std::move(cfg)), policy_(policy)
+    : cfg_(std::move(cfg)), policy_(policy),
+      iterParams_(iterationParams(cfg_)),
+      // Matmul pipelines the decode share is spread over: the two dense
+      // projections, the attention regions, and the MoE regions.
+      decodeUnits_(2 + cfg_.attnRegions +
+                   (cfg_.moeRegions > 0 ? cfg_.moeRegions
+                                        : cfg_.model.numExperts)),
+      iterGraph_(iterParams_)
 {
     if (cfg_.numLayers == 0)
         cfg_.numLayers = cfg_.model.numLayers;
@@ -151,8 +176,9 @@ struct ServingEngine::Run
     /** Stats of caches dropped by crashes, folded into the summary. */
     PrefixCacheStats lostCacheStats;
     EngineResult res;
-    /** The rearm handles outlive a run; finish() reports its share. */
-    uint64_t rearms0 = 0, retargets0 = 0, rebuilds0 = 0;
+    /** The iteration graph outlives a run; finish() reports its share
+     *  of the graph-path counters. */
+    uint64_t rearms0 = 0, retargets0 = 0, builds0 = 0;
     Rng iterRng;
 
     /** metrics: the caller's registry, or this one for a trace only. */
@@ -211,9 +237,9 @@ ServingEngine::begin(std::vector<Request>& reqs)
         s.cache = std::make_unique<PrefixCache>(cfg_.prefixCache);
         s.batcher.attachPrefixCache(s.cache.get());
     }
-    s.rearms0 = rearmHandles_.rearms;
-    s.retargets0 = rearmHandles_.retargets;
-    s.rebuilds0 = rearmHandles_.rebuilds;
+    s.rearms0 = iterGraph_.rearms();
+    s.retargets0 = iterGraph_.retargets();
+    s.builds0 = iterGraph_.builds();
 
     // Tracing: scheduler events only matter at level >= Op, so the
     // per-resume branch in dam::Scheduler::drain stays cold below it.
@@ -358,25 +384,6 @@ ServingEngine::step(dam::Cycle until)
             metrics->record(mtr->migrated, at,
                             static_cast<uint64_t>(kv_tokens));
     };
-
-    // Iteration-graph parameters shared across iterations; the per-
-    // iteration pieces are the batch's KV lengths, the expert trace, and
-    // the policy-assigned matmul bandwidth.
-    DecoderParams dp;
-    dp.cfg = cfg_.model;
-    dp.attnStrategy = cfg_.attnStrategy;
-    dp.attnRegions = cfg_.attnRegions;
-    dp.kvTileRows = cfg_.kvTileRows;
-    dp.moeRegions = cfg_.moeRegions;
-    dp.moeTile = cfg_.moeTile;
-    dp.denseTile = cfg_.denseTile;
-    dp.weightTileCols = cfg_.weightTileCols;
-    dp.seed = cfg_.seed;
-    // Matmul pipelines the decode share is spread over: the two dense
-    // projections, the attention regions, and the MoE regions.
-    const int64_t decode_units =
-        2 + cfg_.attnRegions +
-        (cfg_.moeRegions > 0 ? cfg_.moeRegions : cfg_.model.numExperts);
 
     // Structured stall reporting: dump what was blocked and what held
     // the channels (KV reservations, cache pins), then unwind.
@@ -662,13 +669,11 @@ ServingEngine::step(dam::Cycle until)
             spec.trace = generateExpertTrace(
                 s.iterRng, static_cast<int64_t>(decodes.size()),
                 cfg_.model.numExperts, cfg_.model.topK);
+            DecoderParams& dp = iterParams_;
             dp.batch = static_cast<int64_t>(decodes.size());
             dp.computeBwPerMatmul = std::max<int64_t>(
-                16, split.decodeBw / decode_units);
+                16, split.decodeBw / decodeUnits_);
             dp.cfg.moeMatmulBw = dp.computeBwPerMatmul;
-            if (cfg_.recycleGraphs && !iterGraph_)
-                iterGraph_ = std::make_unique<Graph>(SimConfig{},
-                                                     &arena_);
             if (trace_) [[unlikely]] {
                 // Graph runs stamp events in graph-local cycles; anchor
                 // them on the serving timeline. iter_cycles >= the
@@ -676,13 +681,8 @@ ServingEngine::step(dam::Cycle until)
                 trace_->setTimeBase(now);
             }
             static constexpr verify::VerifyOptions kVerifyAll{};
-            SimResult sim = runDecoderIteration(
-                dp, spec, &sched_,
-                cfg_.recycleGraphs ? iterGraph_.get() : nullptr,
-                cfg_.recycleGraphs ? &rearmHandles_ : nullptr,
-                cfg_.verifyGraphs ? &kVerifyAll : nullptr);
-            if (!cfg_.recycleGraphs)
-                ++res.graphRebuilds;
+            SimResult sim = iterGraph_.run(
+                dp, spec, sched_, cfg_.verifyGraphs ? &kVerifyAll : nullptr);
             iter_cycles = sim.cycles * static_cast<dam::Cycle>(
                 cfg_.numLayers);
             decode_flops = sim.totalFlops * cfg_.numLayers;
@@ -851,9 +851,9 @@ ServingEngine::finish()
                     "run ended with " << cache->pinnedRequests()
                                       << " prefix-cache pins held");
 
-    res.graphRearms = rearmHandles_.rearms - s.rearms0;
-    res.graphRetargets = rearmHandles_.retargets - s.retargets0;
-    res.graphRebuilds += rearmHandles_.rebuilds - s.rebuilds0;
+    res.graphRearms = iterGraph_.rearms() - s.rearms0;
+    res.graphRetargets = iterGraph_.retargets() - s.retargets0;
+    res.graphRebuilds = iterGraph_.builds() - s.builds0;
 
     std::vector<Request>& reqs = *s.reqs;
     reqs.insert(reqs.end(), std::make_move_iterator(s.injected.begin()),

@@ -5,14 +5,16 @@
  * batcher — with the prefix cache enabled, admission charges KV and
  * prefill only for the prompt suffix the cache does not already hold —
  * (2) asks the active dynamic-parallelism policy to split the compute
- * bandwidth between prefill and decode, (3) instantiates one
- * decoder-layer STeP graph for the *current* decode-batch composition
- * (per-request KV lengths + a fresh expert-routing trace) and runs it
- * through a reused dam::Scheduler, and (4) advances per-request state,
- * recording TTFT/TPOT events and inserting completed prefixes back into
- * the cache. Prefill progress is modeled analytically at the
- * policy-allocated bandwidth (prefill is dense and static — the
- * dynamism the simulated graphs must capture lives in decode).
+ * bandwidth between prefill and decode, (3) arms the engine's one
+ * decoder-layer STeP graph (an IterationGraph, built on the first
+ * decode iteration and rearmed in place after) for the *current*
+ * decode-batch composition (per-request KV lengths + a fresh
+ * expert-routing trace) and runs it through a reused dam::Scheduler,
+ * and (4) advances per-request state, recording TTFT/TPOT events and
+ * inserting completed prefixes back into the cache. Prefill progress is
+ * modeled analytically at the policy-allocated bandwidth (prefill is
+ * dense and static — the dynamism the simulated graphs must capture
+ * lives in decode).
  */
 #pragma once
 
@@ -98,22 +100,13 @@ struct EngineConfig
      * drain-less build.
      */
     SlowdownDrainConfig drain;
-    /**
-     * Keep one arena-backed decoder graph across batching iterations
-     * and rearm it in place, retargeting it when the decode batch size
-     * changes (see runDecoderIteration), instead of building a cold
-     * graph each time. Metrics are identical either way; the cold path
-     * remains as the A/B oracle.
-     */
-    bool recycleGraphs = true;
 
     /**
      * Statically verify every iteration graph whose geometry is new —
-     * the first build, each structural-key fallback, and each batch-size
-     * retarget — before running it (src/verify; error findings are
-     * fatal). Read-only, so enabling it is byte-identical to disabling
-     * it on a well-formed graph; on by default in debug builds, opt-in
-     * (--verify on the sims) elsewhere.
+     * the first build and each batch-size retarget — before running it
+     * (src/verify; error findings are fatal). Read-only, so enabling it
+     * is byte-identical to disabling it on a well-formed graph; on by
+     * default in debug builds, opt-in (--verify on the sims) elsewhere.
      */
 #ifndef NDEBUG
     bool verifyGraphs = true;
@@ -131,8 +124,8 @@ struct EngineResult
     int64_t iterations = 0;
     /**
      * Decode iterations by iteration-graph path: rearms at the armed
-     * batch size, rearms that retargeted the batch size, and full
-     * builds (every decode iteration when recycleGraphs is off).
+     * batch size, rearms that retargeted the batch size, and builds
+     * (an engine builds once, on its first decode iteration).
      */
     uint64_t graphRearms = 0;
     uint64_t graphRetargets = 0;
@@ -235,13 +228,14 @@ class ServingEngine
     const Policy& policy_;
     obs::TraceSink* trace_ = nullptr;
     obs::MetricsRegistry* metrics_ = nullptr;
+    /** Decoder-layer parameters of every iteration; a decode iteration
+     *  sets batch, computeBwPerMatmul and cfg.moeMatmulBw. */
+    DecoderParams iterParams_;
+    int64_t decodeUnits_; ///< matmul pipelines sharing the decode bw
     dam::Scheduler sched_; ///< reused across per-iteration graphs
-    GraphArena arena_;     ///< backs the recycled iteration graph
-    std::unique_ptr<Graph> iterGraph_; ///< lazily created when recycling
-    /** Structure-preserving rearm handles for iterGraph_: iterations
-     *  patch the armed graph in place, whatever the decode batch size,
-     *  instead of rebuilding it. */
-    DecoderRearmHandles rearmHandles_;
+    /** Built on the first decode iteration, rearmed on every later one
+     *  whatever the decode batch size. */
+    IterationGraph iterGraph_;
     std::unique_ptr<Run> run_;
 };
 

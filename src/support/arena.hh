@@ -1,12 +1,12 @@
 /**
  * @file
- * Monotonic arena + name interner backing graph recycling. The serving
- * engine rebuilds a structurally identical decoder graph every batching
- * iteration; allocating operator objects from a bump arena and interning
- * channel names lets Graph::recycle() release a whole iteration's nodes
- * by running destructors and resetting an offset — the blocks and the
- * interned strings are reused by the next build, so steady-state graph
- * reconstruction performs no large allocations.
+ * Monotonic arena + name interner backing graph recycling. A caller
+ * that rebuilds a structurally similar graph over and over (a replay
+ * that rebuilds per batch change) allocates operator objects from a
+ * bump arena and interns channel names, so Graph::recycle() releases a
+ * whole build's nodes by running destructors and resetting an offset —
+ * the blocks and the interned strings are reused by the next build, so
+ * steady-state graph reconstruction performs no large allocations.
  */
 #pragma once
 

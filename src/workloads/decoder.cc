@@ -5,7 +5,6 @@
 #include "ops/shape_ops.hh"
 #include "ops/source_sink.hh"
 #include "support/error.hh"
-#include "trace/trace.hh"
 #include "verify/verifier.hh"
 
 namespace step {
@@ -96,38 +95,6 @@ decoderStructKey(const DecoderParams& p, int64_t batch)
     k.weightTileCols = p.weightTileCols;
     k.seed = p.seed;
     return k;
-}
-
-const char*
-rebuildReason(const DecoderStructKey& armed, const DecoderStructKey& want)
-{
-    // Every field but the batch size, in declaration order.
-    const std::pair<const char*, bool> differs[] = {
-        {"hidden", armed.hidden != want.hidden},
-        {"moeIntermediate", armed.moeIntermediate != want.moeIntermediate},
-        {"numExperts", armed.numExperts != want.numExperts},
-        {"topK", armed.topK != want.topK},
-        {"headDim", armed.headDim != want.headDim},
-        {"numQHeads", armed.numQHeads != want.numQHeads},
-        {"numKvHeads", armed.numKvHeads != want.numKvHeads},
-        {"moeTiling", armed.moeTiling != want.moeTiling},
-        {"moeTile", armed.moeTile != want.moeTile},
-        {"moeRegions", armed.moeRegions != want.moeRegions},
-        {"attnStrategy", armed.attnStrategy != want.attnStrategy},
-        {"attnRegions", armed.attnRegions != want.attnRegions},
-        {"kvTileRows", armed.kvTileRows != want.kvTileRows},
-        {"denseTile", armed.denseTile != want.denseTile},
-        {"weightTileCols", armed.weightTileCols != want.weightTileCols},
-        {"seed", armed.seed != want.seed},
-    };
-    for (const auto& [field, differ] : differs)
-        if (differ)
-            return field;
-    DecoderStructKey same_batch = armed;
-    same_batch.batch = want.batch;
-    STEP_ASSERT(same_batch == want,
-                "rebuildReason misses a DecoderStructKey field");
-    return nullptr;
 }
 
 StreamPort
@@ -263,9 +230,9 @@ rearmDecoderLayer(Graph& g, DecoderRearmHandles& h,
                   const DecoderParams& p, const IterationSpec& spec)
 {
     const auto B = static_cast<int64_t>(spec.kvLens.size());
-    STEP_ASSERT(h.valid && !rebuildReason(h.key, decoderStructKey(p, B)),
-                "rearmDecoderLayer structural key mismatch: recycle and "
-                "rebuild instead");
+    STEP_ASSERT(h.valid && decoderStructKey(p, h.key.batch) == h.key,
+                "rearmDecoderLayer structural key mismatch: build a new "
+                "graph instead");
     STEP_ASSERT(static_cast<int64_t>(spec.trace.perToken.size()) == B,
                 "trace/kv batch mismatch");
     g.rearm(iterationSimConfig(B));
@@ -305,85 +272,59 @@ verifyIterationGraph(const Graph& g, const verify::VerifyOptions& opts)
 
 SimResult
 runDecoderIteration(const DecoderParams& p, const IterationSpec& spec,
-                    dam::Scheduler* sched, Graph* reuse,
-                    DecoderRearmHandles* rearm,
-                    const verify::VerifyOptions* vopts)
+                    dam::Scheduler* sched)
 {
     const auto B = static_cast<int64_t>(spec.kvLens.size());
     STEP_ASSERT(B > 0, "decoder iteration over an empty batch");
-    SimConfig sc = iterationSimConfig(B);
-    if (reuse) {
-        if (rearm) {
-            DecoderStructKey key = decoderStructKey(p, B);
-            const char* miss =
-                rearm->valid ? rebuildReason(rearm->key, key) : "initial";
-            if (!miss) {
-                // Fast path: patch the armed graph in place instead of
-                // re-running ~190 operator constructors, retargeting it
-                // when the batch size changed. A same-batch rearm keeps
-                // the verified geometry; a retarget changed channel
-                // depths, so it is verified again.
-                const bool retarget = rearm->key.batch != B;
-                ++(retarget ? rearm->retargets : rearm->rearms);
-                rearmDecoderLayer(*reuse, *rearm, p, spec);
-                if (retarget && vopts)
-                    verifyIterationGraph(*reuse, *vopts);
-            } else {
-                // Structural change (layer config, policy split): fall
-                // back to a full recycle + rebuild and refresh the
-                // handles.
-                ++rearm->rebuilds;
-                ++rearm->rebuildReasons[miss];
-                reuse->recycle(sc);
-                buildDecoderLayer(*reuse, p, spec.trace, spec.kvLens,
-                                  rearm);
-                rearm->key = key;
-                rearm->valid = true;
-                if (vopts)
-                    verifyIterationGraph(*reuse, *vopts);
-            }
-        } else {
-            reuse->recycle(sc);
-            buildDecoderLayer(*reuse, p, spec.trace, spec.kvLens);
-            if (vopts)
-                verifyIterationGraph(*reuse, *vopts);
-        }
-        if (sched)
-            return reuse->run(*sched);
-        return reuse->run();
-    }
-    Graph g(sc);
+    Graph g(iterationSimConfig(B));
     buildDecoderLayer(g, p, spec.trace, spec.kvLens);
-    if (vopts)
-        verifyIterationGraph(g, *vopts);
     if (sched)
         return g.run(*sched);
     return g.run();
 }
 
-EndToEndResult
-runEndToEnd(const DecoderParams& p, int64_t layers, uint64_t trace_seed)
+IterationGraph::IterationGraph(const DecoderParams& structure)
+    : graph_(SimConfig{}, &arena_)
 {
-    EndToEndResult agg;
-    dam::Scheduler sched;
-    for (int64_t l = 0; l < layers; ++l) {
-        Rng rng(trace_seed * 1000003 + static_cast<uint64_t>(l));
-        IterationSpec spec;
-        spec.trace = generateExpertTrace(rng, p.batch, p.cfg.numExperts,
-                                         p.cfg.topK);
-        spec.kvLens = sampleKvBatch(trace_seed + static_cast<uint64_t>(l),
-                                    p.batch, KvVarClass::Med);
-        SimResult r = runDecoderIteration(p, spec, &sched);
+    h_.key = decoderStructKey(structure, 0);
+}
 
-        agg.cycles += r.cycles;
-        agg.offChipBytes += r.offChipBytes;
-        agg.totalFlops += r.totalFlops;
-        agg.onChipPeakBytes = std::max(agg.onChipPeakBytes,
-                                       r.onChipPeakBytes);
-        agg.allocatedComputeBw = std::max(agg.allocatedComputeBw,
-                                          r.allocatedComputeBw);
+void
+IterationGraph::arm(const DecoderParams& p, const IterationSpec& spec,
+                    const verify::VerifyOptions* vopts)
+{
+    const auto B = static_cast<int64_t>(spec.kvLens.size());
+    STEP_ASSERT(B > 0, "decoder iteration over an empty batch");
+    STEP_ASSERT(decoderStructKey(p, h_.key.batch) == h_.key,
+                "IterationGraph asked for another layer structure: "
+                "construct a new IterationGraph instead");
+    bool fresh_geometry = true;
+    if (!h_.valid) {
+        graph_.recycle(iterationSimConfig(B));
+        buildDecoderLayer(graph_, p, spec.trace, spec.kvLens, &h_);
+        h_.key.batch = B;
+        h_.valid = true;
+        ++builds_;
+    } else {
+        // Patch the armed graph in place instead of re-running ~190
+        // operator constructors, retargeting it when the batch size
+        // changed. A same-batch rearm keeps the verified geometry; a
+        // retarget changed channel depths, so it is verified again.
+        fresh_geometry = h_.key.batch != B;
+        ++(fresh_geometry ? retargets_ : rearms_);
+        rearmDecoderLayer(graph_, h_, p, spec);
     }
-    return agg;
+    if (fresh_geometry && vopts)
+        verifyIterationGraph(graph_, *vopts);
+}
+
+SimResult
+IterationGraph::run(const DecoderParams& p, const IterationSpec& spec,
+                    dam::Scheduler& sched,
+                    const verify::VerifyOptions* vopts)
+{
+    arm(p, spec, vopts);
+    return graph_.run(sched);
 }
 
 } // namespace step

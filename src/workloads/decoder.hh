@@ -1,16 +1,14 @@
 /**
  * @file
- * Fused Transformer decoder layer and end-to-end model runner
- * (section 5.5). Each layer is one STeP graph: QKV projection ->
- * attention (parallelized over regions) -> output projection -> MoE ->
- * off-chip store. The full model executes the layer graph repeatedly
- * with per-layer expert-routing traces, exactly the paper's "executed
- * repeatedly with layer-specific weights".
+ * Fused Transformer decoder layer (section 5.5). Each layer is one
+ * STeP graph: QKV projection -> attention (parallelized over regions)
+ * -> output projection -> MoE -> off-chip store. A full model executes
+ * the layer graph repeatedly with per-layer expert-routing traces,
+ * exactly the paper's "executed repeatedly with layer-specific
+ * weights"; a serving engine runs it once per batching iteration
+ * through one IterationGraph.
  */
 #pragma once
-
-#include <map>
-#include <string_view>
 
 #include "ops/graph.hh"
 #include "workloads/attention.hh"
@@ -76,8 +74,8 @@ StreamPort buildDenseProj(Graph& g, const std::string& name,
  * shared symbolic dim, and sources, the dispatcher's total, and the
  * B-dependent channel depths are re-fed on every rearm. So a key that
  * differs only in `batch` retargets the armed graph in place; any other
- * field change (layer config, parallelization split) recycles and
- * rebuilds it.
+ * field change (layer config, parallelization split) needs a new
+ * graph.
  */
 struct DecoderStructKey
 {
@@ -107,15 +105,6 @@ struct DecoderStructKey
 DecoderStructKey decoderStructKey(const DecoderParams& p, int64_t batch);
 
 /**
- * Why a graph armed under @p armed cannot be rearmed for @p want: the
- * name of the first key field, other than `batch`, that differs (e.g.
- * "attnRegions"), or nullptr when a rearm — retargeting the batch size
- * if it changed — is valid.
- */
-const char* rebuildReason(const DecoderStructKey& armed,
-                          const DecoderStructKey& want);
-
-/**
  * The SimConfig a serving iteration at @p batch runs under (channel
  * capacity scales with the batch). Exported so benches and tests build
  * exactly the graph the engine runs; a rearm for @p batch re-sizes the
@@ -125,11 +114,9 @@ SimConfig iterationSimConfig(int64_t batch);
 
 /**
  * Typed handles to the per-iteration operators of a built decoder-layer
- * graph plus the structural key it is armed with. Owned by whoever runs
- * the graph (e.g. the serving engine) and refreshed by buildDecoderLayer
- * on every full rebuild; runDecoderIteration uses them to take the
- * structure-preserving rearm fast path whenever rebuildReason() allows
- * it, whatever the batch size.
+ * graph plus the structural key it is armed with. Filled by
+ * buildDecoderLayer; rearmDecoderLayer patches the operators they name
+ * in place, whatever the batch size.
  */
 struct DecoderRearmHandles
 {
@@ -142,13 +129,6 @@ struct DecoderRearmHandles
     std::vector<OpBase*> denseUnpackOps;
     AttnRearmHandles attn;
     MoeRearmHandles moe;
-    // Path counters (observability for benches and tests).
-    uint64_t rearms = 0;    ///< rearms at the armed batch size
-    uint64_t retargets = 0; ///< rearms that changed the batch size
-    uint64_t rebuilds = 0;  ///< full (recycle +) rebuilds
-    /** Rebuilds by miss reason: the rebuildReason() field, or
-     *  "initial" for the first build. */
-    std::map<std::string_view, uint64_t> rebuildReasons;
 };
 
 /**
@@ -156,7 +136,7 @@ struct DecoderRearmHandles
  * ([B] of [1,H] rows) already routed into a LinearOffChipStore, so the
  * run's makespan covers "first off-chip read to last off-chip write".
  * When @p rearm is non-null its handles are reset and repopulated for
- * the new build (key/valid/counters are managed by the caller).
+ * the new build (key and valid are managed by the caller).
  */
 void buildDecoderLayer(Graph& g, const DecoderParams& p,
                        const ExpertTrace& trace,
@@ -185,47 +165,75 @@ struct IterationSpec
  * Structure-preserving re-arm of a previously built decoder-layer
  * graph: Graph::rearm plus per-operator patches for the iteration's
  * batch size, KV lengths, expert trace, and bandwidths, after which
- * h.key.batch is the new batch size. Valid whenever
- * rebuildReason(h.key, decoderStructKey(p, B)) is null; metrics are
- * bit-identical to a cold build with the same (p, spec). Exposed
- * separately from runDecoderIteration so benches can time the rearm
- * cost alone.
+ * h.key.batch is the new batch size. Valid whenever h is valid and
+ * decoderStructKey(p, B) differs from h.key at most in `batch`; metrics
+ * are bit-identical to a cold build with the same (p, spec).
  */
 void rearmDecoderLayer(Graph& g, DecoderRearmHandles& h,
                        const DecoderParams& p, const IterationSpec& spec);
 
 /**
- * Build and simulate one decoder-layer iteration. When @p sched is
- * non-null the externally owned scheduler is reused (reset + run), so a
- * long-lived engine pays no scheduler setup per iteration. When
- * @p reuse is non-null it must be an arena-backed Graph owned by the
- * caller: the previous build is recycled in place and the new iteration
- * graph reuses its operator storage, pooled channels, and interned
- * names (see Graph::recycle). When @p rearm is also non-null, the
- * rebuild is skipped whenever rebuildReason() allows it: the armed
- * graph is patched in place (rearmDecoderLayer) — the fast path the
- * serving engine runs on. The decode batch size is a rearm payload, so
- * a batch change retargets the graph instead of rebuilding it; only a
- * change of another key field recycles and rebuilds, refreshing the
- * handles. A serving engine therefore builds its graph once per run.
- *
- * When @p vopts is non-null every fresh build — the cold path and the
- * rearm structural-key fallback — and every retarget (its channel
- * depths changed) is statically verified (Graph::verify) before it
- * runs; a same-batch rearm keeps the verified geometry and is not. An
- * error-severity finding raises FatalError with the rendered report.
- * Verification is read-only, so a clean verified run is byte-identical
- * to an unverified one.
+ * Cold reference iteration: build a fresh decoder-layer graph for
+ * (p, spec) and simulate it. When @p sched is non-null the externally
+ * owned scheduler is reused (reset + run). The oracle an IterationGraph
+ * must match bit for bit.
  */
 SimResult runDecoderIteration(const DecoderParams& p,
                               const IterationSpec& spec,
-                              dam::Scheduler* sched = nullptr,
-                              Graph* reuse = nullptr,
-                              DecoderRearmHandles* rearm = nullptr,
-                              const verify::VerifyOptions* vopts = nullptr);
+                              dam::Scheduler* sched = nullptr);
 
-/** Run @p layers decoder layers (fresh graph each) and aggregate. */
-EndToEndResult runEndToEnd(const DecoderParams& p, int64_t layers,
-                           uint64_t trace_seed);
+/**
+ * The one decoder-layer graph a long-lived caller (the serving engine)
+ * runs every batching iteration. Constructed for one layer structure
+ * (every DecoderStructKey field but `batch`); the first arm() builds
+ * the graph into an arena, and every later one patches it in place
+ * (rearmDecoderLayer), retargeting it when the batch size changed. The
+ * decode batch size is a rearm payload, so the graph is built exactly
+ * once. Asking for another structure is a programming error: construct
+ * a new IterationGraph instead.
+ *
+ * When a VerifyOptions is passed, every build and every retarget (its
+ * channel depths changed) is statically verified (Graph::verify) before
+ * it runs; a same-batch rearm keeps the verified geometry and is not.
+ * An error-severity finding raises FatalError with the rendered report.
+ * Verification is read-only, so a clean verified run is byte-identical
+ * to an unverified one.
+ */
+class IterationGraph
+{
+  public:
+    explicit IterationGraph(const DecoderParams& structure);
+
+    IterationGraph(const IterationGraph&) = delete;
+    IterationGraph& operator=(const IterationGraph&) = delete;
+
+    /** Arm the graph for (p, spec) without running it: build it on the
+     *  first call, rearm it in place on every later one. Repeated arms
+     *  are idempotent, so benches can time the rearm cost alone. */
+    void arm(const DecoderParams& p, const IterationSpec& spec,
+             const verify::VerifyOptions* vopts = nullptr);
+
+    /** arm() then simulate on @p sched (reset + run). */
+    SimResult run(const DecoderParams& p, const IterationSpec& spec,
+                  dam::Scheduler& sched,
+                  const verify::VerifyOptions* vopts = nullptr);
+
+    const Graph& graph() const { return graph_; }
+    /** Batch size the graph is armed with (0 before the first arm). */
+    int64_t batch() const { return h_.key.batch; }
+
+    // Path counters (observability for engines, benches and tests).
+    uint64_t builds() const { return builds_; }       ///< 0 or 1
+    uint64_t rearms() const { return rearms_; }       ///< same batch size
+    uint64_t retargets() const { return retargets_; } ///< batch changed
+
+  private:
+    GraphArena arena_; ///< backs graph_; declared first, outlives it
+    Graph graph_;
+    DecoderRearmHandles h_;
+    uint64_t builds_ = 0;
+    uint64_t rearms_ = 0;
+    uint64_t retargets_ = 0;
+};
 
 } // namespace step

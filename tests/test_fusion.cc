@@ -296,16 +296,14 @@ TEST(Fusion, RearmAndRetargetEqualColdFusedBuild)
 {
     const DecoderParams base = servingParams(ParStrategy::Dynamic);
     dam::Scheduler sched;
-    GraphArena arena;
-    Graph g(SimConfig{}, &arena);
-    DecoderRearmHandles handles;
+    IterationGraph ig(base);
+    const Graph& g = ig.graph();
     const int64_t batches[] = {5, 5, 16, 1, 64, 16, 16};
     for (size_t i = 0; i < std::size(batches); ++i) {
         DecoderParams p = base;
         p.batch = batches[i];
         const IterationSpec spec = specFor(p, batches[i], 10 + i);
-        const SimResult armed =
-            runDecoderIteration(p, spec, &sched, &g, &handles);
+        const SimResult armed = ig.run(p, spec, sched);
         const SimResult cold = runDecoderIteration(p, spec, &sched);
         const std::string what = "iteration " + std::to_string(i);
         EXPECT_EQ(armed.cycles, cold.cycles) << what;
@@ -317,8 +315,8 @@ TEST(Fusion, RearmAndRetargetEqualColdFusedBuild)
             << what;
         EXPECT_TRUE(g.verify(verify::VerifyOptions{}).clean()) << what;
     }
-    EXPECT_EQ(handles.rebuilds, 1u);
-    EXPECT_EQ(handles.retargets, 4u);
+    EXPECT_EQ(ig.builds(), 1u);
+    EXPECT_EQ(ig.retargets(), 4u);
 }
 
 } // namespace

@@ -111,35 +111,9 @@ TEST(SwigluValidation, BothModelsOrderTileSizesConsistently)
     EXPECT_GT(s16, s64);
 }
 
-TEST(Decoder, TinyLayerRunsAllStrategyCombos)
-{
-    for (ParStrategy attn : {ParStrategy::StaticInterleaved,
-                             ParStrategy::Dynamic}) {
-        for (Tiling moe : {Tiling::Static, Tiling::Dynamic}) {
-            DecoderParams p;
-            p.cfg = tinyConfig();
-            p.cfg.hidden = 32;
-            p.cfg.moeIntermediate = 32;
-            p.cfg.headDim = 16;
-            p.cfg.numKvHeads = 1;
-            p.cfg.numQHeads = 2;
-            p.batch = 12;
-            p.moeTiling = moe;
-            p.moeTile = 4;
-            p.denseTile = 4;
-            p.weightTileCols = 8;
-            p.kvTileRows = 4;
-            p.attnRegions = 2;
-            p.attnStrategy = attn;
-            auto r = runEndToEnd(p, 1, 11);
-            EXPECT_GT(r.cycles, 0u);
-            EXPECT_GT(r.offChipBytes, 0);
-            EXPECT_GT(r.totalFlops, 0);
-        }
-    }
-}
-
-TEST(Decoder, DeterministicAcrossRuns)
+/** A tiny decoder layer, small enough to simulate in milliseconds. */
+DecoderParams
+tinyDecoder()
 {
     DecoderParams p;
     p.cfg = tinyConfig();
@@ -154,12 +128,50 @@ TEST(Decoder, DeterministicAcrossRuns)
     p.weightTileCols = 8;
     p.kvTileRows = 4;
     p.attnRegions = 2;
+    return p;
+}
+
+/** Layer @p l's inputs in a seeded decoder stack, drawn as
+ *  bench_fig17_end2end draws them. */
+IterationSpec
+layerSpec(const DecoderParams& p, uint64_t seed, int64_t l)
+{
+    Rng rng(seed * 1000003 + static_cast<uint64_t>(l));
+    IterationSpec spec;
+    spec.trace = generateExpertTrace(rng, p.batch, p.cfg.numExperts,
+                                     p.cfg.topK);
+    spec.kvLens = sampleKvBatch(seed + static_cast<uint64_t>(l), p.batch,
+                                KvVarClass::Med);
+    return spec;
+}
+
+TEST(Decoder, TinyLayerRunsAllStrategyCombos)
+{
+    for (ParStrategy attn : {ParStrategy::StaticInterleaved,
+                             ParStrategy::Dynamic}) {
+        for (Tiling moe : {Tiling::Static, Tiling::Dynamic}) {
+            DecoderParams p = tinyDecoder();
+            p.moeTiling = moe;
+            p.attnStrategy = attn;
+            SimResult r = runDecoderIteration(p, layerSpec(p, 11, 0));
+            EXPECT_GT(r.cycles, 0u);
+            EXPECT_GT(r.offChipBytes, 0);
+            EXPECT_GT(r.totalFlops, 0);
+        }
+    }
+}
+
+TEST(Decoder, DeterministicAcrossRuns)
+{
+    DecoderParams p = tinyDecoder();
     p.attnStrategy = ParStrategy::Dynamic;
-    auto a = runEndToEnd(p, 2, 3);
-    auto b = runEndToEnd(p, 2, 3);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.offChipBytes, b.offChipBytes);
-    EXPECT_EQ(a.totalFlops, b.totalFlops);
+    for (int64_t l = 0; l < 2; ++l) {
+        SimResult a = runDecoderIteration(p, layerSpec(p, 3, l));
+        SimResult b = runDecoderIteration(p, layerSpec(p, 3, l));
+        EXPECT_EQ(a.cycles, b.cycles) << "layer " << l;
+        EXPECT_EQ(a.offChipBytes, b.offChipBytes) << "layer " << l;
+        EXPECT_EQ(a.totalFlops, b.totalFlops) << "layer " << l;
+    }
 }
 
 TEST(FailureInjection, ZipRejectsMisalignedStreams)

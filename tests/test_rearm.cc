@@ -2,13 +2,14 @@
  * @file
  * Correctness of the structure-preserving rearm path: over a hundred-
  * plus serving iterations with seeded per-iteration KV lengths, expert
- * traces, and policy bandwidths, the rearm fast path must produce
+ * traces, and policy bandwidths, an IterationGraph must produce
  * metrics bit-identical to (a) recycle+rebuild on a reused graph and
  * (b) a cold graph built from scratch. The decode batch size is a
  * rearm payload: mid-run batch-size changes retarget the armed graph
  * in place (no rebuild), with the same bit-identity, the same verifier
- * report as a cold build, and no allocation once warm. Only a change of
- * another structural key field rebuilds, and records why.
+ * report as a cold build, and no allocation once warm. A change of
+ * another structural key field is refused: it needs a new
+ * IterationGraph.
  */
 #include <gtest/gtest.h>
 
@@ -16,6 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "helpers.hh"
+#include "support/error.hh"
 #include "support/framepool.hh"
 #include "support/rng.hh"
 #include "trace/trace.hh"
@@ -73,9 +76,7 @@ runComparison(ParStrategy attn)
     const int64_t kIters = 120;
     dam::Scheduler sched;
 
-    GraphArena rearm_arena;
-    Graph rearm_graph(SimConfig{}, &rearm_arena);
-    DecoderRearmHandles handles;
+    IterationGraph armed(baseParams(attn));
 
     GraphArena rebuild_arena;
     Graph rebuild_graph(SimConfig{}, &rebuild_arena);
@@ -91,10 +92,9 @@ runComparison(ParStrategy attn)
         IterationSpec spec =
             specFor(p, 1000 + static_cast<uint64_t>(i), B);
 
-        SimResult via_rearm = runDecoderIteration(p, spec, &sched,
-                                                  &rearm_graph, &handles);
+        SimResult via_rearm = armed.run(p, spec, sched);
         SimResult via_rebuild =
-            runDecoderIteration(p, spec, &sched, &rebuild_graph);
+            test::recycledIteration(rebuild_graph, p, spec, sched);
         SimResult cold = runDecoderIteration(p, spec, &sched);
 
         expectIdentical(via_rearm, via_rebuild, i, "rearm vs rebuild");
@@ -103,14 +103,12 @@ runComparison(ParStrategy attn)
             break;
     }
 
-    // Only the initial build rebuilds; both batch changes (4 -> 6 ->
-    // 4) retarget, and everything else is a same-batch rearm.
-    EXPECT_EQ(handles.rebuilds, 1u);
-    EXPECT_EQ(handles.rearms + handles.retargets,
+    // One build; both batch changes (4 -> 6 -> 4) retarget, and
+    // everything else is a same-batch rearm.
+    EXPECT_EQ(armed.builds(), 1u);
+    EXPECT_EQ(armed.rearms() + armed.retargets(),
               static_cast<uint64_t>(kIters) - 1u);
-    EXPECT_EQ(handles.retargets, 2u);
-    EXPECT_EQ(handles.rebuildReasons.size(), 1u);
-    EXPECT_EQ(handles.rebuildReasons["initial"], 1u);
+    EXPECT_EQ(armed.retargets(), 2u);
 }
 
 TEST(Rearm, BitIdenticalStaticAttention)
@@ -151,9 +149,7 @@ runVaryingBatch(ParStrategy attn, uint64_t seed)
     const std::vector<int64_t> batches = varyingBatches(seed, kIters);
     dam::Scheduler sched;
 
-    GraphArena rearm_arena;
-    Graph rearm_graph(SimConfig{}, &rearm_arena);
-    DecoderRearmHandles handles;
+    IterationGraph armed(baseParams(attn));
 
     GraphArena rebuild_arena;
     Graph rebuild_graph(SimConfig{}, &rebuild_arena);
@@ -178,24 +174,23 @@ runVaryingBatch(ParStrategy attn, uint64_t seed)
         IterationSpec spec =
             specFor(p, seed * 100 + static_cast<uint64_t>(i), B);
 
-        SimResult via_rearm = runDecoderIteration(p, spec, &sched,
-                                                  &rearm_graph, &handles);
+        SimResult via_rearm = armed.run(p, spec, sched);
         SimResult via_rebuild =
-            runDecoderIteration(p, spec, &sched, &rebuild_graph);
+            test::recycledIteration(rebuild_graph, p, spec, sched);
         SimResult cold = runDecoderIteration(p, spec, &sched);
 
         expectIdentical(via_rearm, via_rebuild, i, "rearm vs rebuild");
         expectIdentical(via_rearm, cold, i, "rearm vs cold");
-        EXPECT_EQ(handles.key.batch, B) << "iter " << i;
+        EXPECT_EQ(armed.batch(), B) << "iter " << i;
         if (::testing::Test::HasFailure())
             return;
     }
 
     EXPECT_TRUE(grew_past_max);
     EXPECT_TRUE(shrank_to_one);
-    EXPECT_EQ(handles.rebuilds, 1u);
-    EXPECT_EQ(handles.retargets, batch_changes);
-    EXPECT_EQ(handles.rearms + handles.retargets,
+    EXPECT_EQ(armed.builds(), 1u);
+    EXPECT_EQ(armed.retargets(), batch_changes);
+    EXPECT_EQ(armed.rearms() + armed.retargets(),
               static_cast<uint64_t>(kIters) - 1u);
 }
 
@@ -214,33 +209,49 @@ TEST(Rearm, VaryingBatchDynamic)
     runVaryingBatch(ParStrategy::Dynamic, 73);
 }
 
-TEST(Rearm, NonBatchKeyChangeRebuildsAndRecordsReason)
+TEST(Rearm, StructuralChangeOnLiveGraphPanics)
 {
     dam::Scheduler sched;
-    GraphArena arena;
-    Graph g(SimConfig{}, &arena);
-    DecoderRearmHandles h;
-
     DecoderParams p = baseParams(ParStrategy::Dynamic);
-    (void)runDecoderIteration(p, specFor(p, 1, 4), &sched, &g, &h);
+    IterationGraph ig(p);
+    (void)ig.run(p, specFor(p, 1, 4), sched);
     // A batch change alone retargets...
-    (void)runDecoderIteration(p, specFor(p, 2, 9), &sched, &g, &h);
-    EXPECT_EQ(h.rebuilds, 1u);
-    EXPECT_EQ(h.retargets, 1u);
-    // ...a parallelization change rebuilds, even with a batch change
-    // riding along, and names the structural field as the reason.
+    (void)ig.run(p, specFor(p, 2, 9), sched);
+    EXPECT_EQ(ig.builds(), 1u);
+    EXPECT_EQ(ig.retargets(), 1u);
+    // ...a parallelization change is no rearm payload: the live graph
+    // refuses it, even with a batch change riding along, and stays
+    // armed as it was.
+    DecoderParams q = p;
+    q.attnRegions = 2;
+    EXPECT_THROW((void)ig.run(q, specFor(q, 3, 5), sched), PanicError);
+    EXPECT_EQ(ig.builds(), 1u);
+    EXPECT_EQ(ig.retargets(), 1u);
+    EXPECT_EQ(ig.batch(), 9);
+    // The structure is fixed at construction, before the first build.
+    IterationGraph unbuilt(p);
+    EXPECT_THROW((void)unbuilt.run(q, specFor(q, 3, 5), sched),
+                 PanicError);
+    EXPECT_EQ(unbuilt.builds(), 0u);
+}
+
+TEST(Rearm, FreshGraphForNewStructureMatchesCold)
+{
+    // The caller that wants another structure constructs a new graph;
+    // it builds once and retargets like any other.
+    dam::Scheduler sched;
+    DecoderParams p = baseParams(ParStrategy::Dynamic);
     p.attnRegions = 2;
-    SimResult rebuilt =
-        runDecoderIteration(p, specFor(p, 3, 5), &sched, &g, &h);
-    EXPECT_EQ(h.rebuilds, 2u);
-    EXPECT_EQ(h.retargets, 1u);
-    EXPECT_EQ(h.rebuildReasons["attnRegions"], 1u);
-    EXPECT_EQ(h.key.batch, 5);
-    expectIdentical(rebuilt, runDecoderIteration(p, specFor(p, 3, 5)), 0,
-                    "rebuilt vs cold");
-    EXPECT_EQ(rebuildReason(decoderStructKey(p, 5),
-                            decoderStructKey(p, 40)),
-              nullptr);
+    IterationGraph ig(p);
+    const int64_t batches[] = {5, 9, 5};
+    for (size_t i = 0; i < std::size(batches); ++i) {
+        const IterationSpec spec = specFor(p, 3 + i, batches[i]);
+        expectIdentical(ig.run(p, spec, sched),
+                        runDecoderIteration(p, spec),
+                        static_cast<int64_t>(i), "fresh graph vs cold");
+    }
+    EXPECT_EQ(ig.builds(), 1u);
+    EXPECT_EQ(ig.retargets(), 2u);
 }
 
 /** (name, capacity) of every channel of @p g, in creation order. */
@@ -260,18 +271,16 @@ TEST(Rearm, RetargetedGraphVerifiesLikeColdBuild)
                              ParStrategy::StaticCoarse,
                              ParStrategy::Dynamic}) {
         dam::Scheduler sched;
-        GraphArena arena;
-        Graph g(SimConfig{}, &arena);
-        DecoderRearmHandles h;
         DecoderParams p = baseParams(attn);
+        IterationGraph ig(p);
+        const Graph& g = ig.graph();
         // Verified build, then verified retargets (growth past the
         // build's batch, a shrink to 1, a regrowth).
-        (void)runDecoderIteration(p, specFor(p, 5, 4), &sched, &g, &h,
-                                  &vopts);
+        (void)ig.run(p, specFor(p, 5, 4), sched, &vopts);
         for (int64_t B : {23, 1, 8}) {
             IterationSpec spec = specFor(p, 6 + static_cast<uint64_t>(B),
                                          B);
-            (void)runDecoderIteration(p, spec, &sched, &g, &h, &vopts);
+            (void)ig.run(p, spec, sched, &vopts);
             Graph cold(iterationSimConfig(B));
             buildDecoderLayer(cold, p, spec.trace, spec.kvLens);
             EXPECT_EQ(g.verify(vopts).toJson(), cold.verify(vopts).toJson())
@@ -279,8 +288,8 @@ TEST(Rearm, RetargetedGraphVerifiesLikeColdBuild)
             EXPECT_EQ(channelGeometry(g), channelGeometry(cold))
                 << "B " << B;
         }
-        EXPECT_EQ(h.rebuilds, 1u);
-        EXPECT_EQ(h.retargets, 3u);
+        EXPECT_EQ(ig.builds(), 1u);
+        EXPECT_EQ(ig.retargets(), 3u);
     }
 }
 
@@ -291,16 +300,14 @@ TEST(Rearm, RepeatedRearmWithoutRunIsIdempotent)
     IterationSpec spec = specFor(p, 7, 4);
 
     dam::Scheduler sched;
-    GraphArena arena;
-    Graph g(SimConfig{}, &arena);
-    DecoderRearmHandles h;
-    SimResult first = runDecoderIteration(p, spec, &sched, &g, &h);
+    IterationGraph ig(p);
+    SimResult first = ig.run(p, spec, sched);
 
-    // Benches time rearmDecoderLayer in a loop without running the
-    // graph in between; the extra rearms must not perturb the next run.
+    // Benches time the rearm in a loop without running the graph in
+    // between; the extra rearms must not perturb the next run.
     for (int i = 0; i < 5; ++i)
-        rearmDecoderLayer(g, h, p, spec);
-    SimResult again = runDecoderIteration(p, spec, &sched, &g, &h);
+        ig.arm(p, spec);
+    SimResult again = ig.run(p, spec, sched);
     expectIdentical(first, again, 0, "after repeated rearm");
 }
 
@@ -311,13 +318,11 @@ TEST(Rearm, FramePoolRecyclesFrames)
     IterationSpec spec = specFor(p, 11, 4);
 
     dam::Scheduler sched;
-    GraphArena arena;
-    Graph g(SimConfig{}, &arena);
-    DecoderRearmHandles h;
-    runDecoderIteration(p, spec, &sched, &g, &h); // builds all frames
+    IterationGraph ig(p);
+    (void)ig.run(p, spec, sched); // builds all frames
 
     FramePool::Stats before = FramePool::stats();
-    runDecoderIteration(p, spec, &sched, &g, &h);
+    (void)ig.run(p, spec, sched);
     FramePool::Stats after = FramePool::stats();
     // A steady-state iteration allocates every coroutine frame from the
     // pool's freelists, not the heap.
@@ -341,13 +346,11 @@ TEST(Rearm, BatchSweepAllocatesNothingOnceWarm)
     const std::vector<int64_t> sweep = {4, 5, 6, 4, 17, 1, 32, 9, 32, 2};
 
     dam::Scheduler sched;
-    GraphArena arena;
-    Graph g(SimConfig{}, &arena);
-    DecoderRearmHandles h;
+    IterationGraph ig(p);
+    const Graph& g = ig.graph();
     auto run_sweep = [&] {
         for (size_t i = 0; i < sweep.size(); ++i)
-            (void)runDecoderIteration(
-                p, specFor(p, 40 + i, sweep[i]), &sched, &g, &h);
+            (void)ig.run(p, specFor(p, 40 + i, sweep[i]), sched);
     };
     run_sweep(); // warms frames and rings up to the sweep's maximum B
 
@@ -360,8 +363,8 @@ TEST(Rearm, BatchSweepAllocatesNothingOnceWarm)
     EXPECT_GT(after.hits, before.hits);
     EXPECT_EQ(after.misses, before.misses);
     EXPECT_EQ(ringSlots(g), slots_before);
-    EXPECT_EQ(h.rebuilds, 1u);
-    EXPECT_EQ(h.retargets, 2 * sweep.size() - 1);
+    EXPECT_EQ(ig.builds(), 1u);
+    EXPECT_EQ(ig.retargets(), 2 * sweep.size() - 1);
 }
 
 } // namespace

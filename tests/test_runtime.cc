@@ -8,6 +8,7 @@
  */
 #include <gtest/gtest.h>
 
+#include "helpers.hh"
 #include "runtime/engine.hh"
 #include "support/error.hh"
 
@@ -271,7 +272,7 @@ TEST(Runtime, RecycledGraphMatchesFreshGraphAcrossBatchChanges)
     GraphArena arena;
     Graph reuse(SimConfig{}, &arena);
 
-    // Vary the batch composition across recycles, as the engine does.
+    // Vary the batch composition across recycles, as a replay does.
     std::vector<std::vector<int64_t>> batches = {
         {32, 64, 96, 160}, {48, 80}, {32, 64, 96, 160}, {200},
         {16, 16, 16, 16, 16, 16},
@@ -284,7 +285,8 @@ TEST(Runtime, RecycledGraphMatchesFreshGraphAcrossBatchChanges)
             rng, static_cast<int64_t>(spec.kvLens.size()),
             p.cfg.numExperts, p.cfg.topK);
         SimResult fresh = runDecoderIteration(p, spec, &sched);
-        SimResult recycled = runDecoderIteration(p, spec, &sched, &reuse);
+        SimResult recycled =
+            test::recycledIteration(reuse, p, spec, sched);
         EXPECT_EQ(fresh.cycles, recycled.cycles) << "batch " << i;
         EXPECT_EQ(fresh.totalFlops, recycled.totalFlops) << "batch " << i;
         EXPECT_EQ(fresh.offChipBytes, recycled.offChipBytes)
@@ -343,60 +345,50 @@ TEST(Engine, CompletesAllRequestsAndStampsLatencies)
               r.iterations);
 }
 
-TEST(Engine, RecycledGraphsMatchRebuildPathOver100Iterations)
+TEST(Engine, EveryDecodeIterationMatchesColdReplay)
 {
-    // Acceptance gate for graph recycling: >= 100 batching iterations on
-    // one engine instance, with metrics identical to rebuilding the
-    // iteration graph from scratch every time. The recycled run builds
-    // its graph once and retargets it on every batch-size change, so
-    // this cold-path oracle covers the retarget path too.
+    // Acceptance gate for the engine's one iteration graph: >= 100
+    // decode iterations on one engine, with >= 10 batch-size changes,
+    // each lasting exactly as long as a cold build of the same
+    // iteration. The engine builds its graph once and retargets it on
+    // every batch-size change, so this covers rearm and retarget.
     TraceConfig tc = burstyTrace(60);
-    QueueDepthPolicy policy;
+    QueueDepthPolicy inner;
+    auto reqs = generateTrace(tc, 5);
+    test::DecodeRecorder policy(inner, reqs);
+    EngineConfig ec;
+    ServingEngine engine(ec, policy);
+    EngineResult r = engine.run(reqs);
+    const std::vector<SimResult> cold = test::coldReplay(ec, policy);
+    const auto layers = static_cast<dam::Cycle>(
+        ec.numLayers > 0 ? ec.numLayers : ec.model.numLayers);
 
-    auto run_once = [&](bool recycle) {
-        auto reqs = generateTrace(tc, 5);
-        EngineConfig ec;
-        ec.recycleGraphs = recycle;
-        ServingEngine engine(ec, policy);
-        return engine.run(reqs);
-    };
-    EngineResult rebuild = run_once(false);
-    EngineResult recycled = run_once(true);
-
-    EXPECT_GE(recycled.iterations, 100);
-    EXPECT_EQ(recycled.iterations, rebuild.iterations);
-    EXPECT_EQ(recycled.summary.makespan, rebuild.summary.makespan);
-    EXPECT_EQ(recycled.summary.completed, rebuild.summary.completed);
-    EXPECT_EQ(recycled.summary.generatedTokens,
-              rebuild.summary.generatedTokens);
-    EXPECT_DOUBLE_EQ(recycled.summary.ttftP50, rebuild.summary.ttftP50);
-    EXPECT_DOUBLE_EQ(recycled.summary.ttftP99, rebuild.summary.ttftP99);
-    EXPECT_DOUBLE_EQ(recycled.summary.tpotP99, rebuild.summary.tpotP99);
-    EXPECT_DOUBLE_EQ(recycled.summary.goodputTokensPerKcycle,
-                     rebuild.summary.goodputTokensPerKcycle);
-    EXPECT_DOUBLE_EQ(recycled.summary.computeUtilization,
-                     rebuild.summary.computeUtilization);
-
-    int64_t decode_iters = 0;
+    size_t decode_iters = 0;
     int64_t batch_changes = 0;
     int64_t prev_batch = 0;
-    for (const IterationSample& it : recycled.timeline.samples()) {
+    for (const IterationSample& it : r.timeline.samples()) {
         if (it.decodeBatch == 0)
             continue;
-        ++decode_iters;
+        const size_t k = decode_iters++;
+        ASSERT_LT(k, cold.size());
+        const test::DecodeRecorder::Iteration& rec =
+            policy.iterations()[k];
+        EXPECT_EQ(it.decodeBatch, static_cast<int64_t>(rec.kvLens.size()))
+            << "decode iteration " << k;
+        EXPECT_EQ(it.decodeBw, rec.decodeBw) << "decode iteration " << k;
+        EXPECT_EQ(it.length, cold[k].cycles * layers)
+            << "decode iteration " << k;
         if (prev_batch != 0 && it.decodeBatch != prev_batch)
             ++batch_changes;
         prev_batch = it.decodeBatch;
     }
+    EXPECT_EQ(decode_iters, cold.size());
+    EXPECT_GE(decode_iters, 100u);
     EXPECT_GE(batch_changes, 10);
-    EXPECT_EQ(recycled.graphRebuilds, 1u);
-    EXPECT_EQ(recycled.graphRetargets,
-              static_cast<uint64_t>(batch_changes));
-    EXPECT_EQ(recycled.graphRearms + recycled.graphRetargets +
-                  recycled.graphRebuilds,
+    EXPECT_EQ(r.graphRebuilds, 1u);
+    EXPECT_EQ(r.graphRetargets, static_cast<uint64_t>(batch_changes));
+    EXPECT_EQ(r.graphRearms + r.graphRetargets + r.graphRebuilds,
               static_cast<uint64_t>(decode_iters));
-    EXPECT_EQ(rebuild.graphRebuilds, static_cast<uint64_t>(decode_iters));
-    EXPECT_EQ(rebuild.graphRearms + rebuild.graphRetargets, 0u);
 }
 
 TEST(Engine, DeterministicReplayWithRecycledGraphs)
@@ -411,7 +403,6 @@ TEST(Engine, DeterministicReplayWithRecycledGraphs)
         auto reqs = generateTrace(tc, 9);
         EngineConfig ec;
         ec.seed = 17;
-        ec.recycleGraphs = true;
         ServingEngine engine(ec, policy);
         return engine.run(reqs);
     };
